@@ -63,12 +63,6 @@ publishSideStats(obs::Registry &registry, const std::string &side,
     registry.counter(os_prefix + "nondet_ops").inc(ks.nondetOps);
 }
 
-bool
-settled(const vm::Machine &m)
-{
-    return m.finished() || m.pauseRequested();
-}
-
 } // namespace
 
 DualRun::DualRun(const ir::Module &module, const os::WorldSpec &world,
@@ -316,11 +310,11 @@ DualRun::driveLockstep()
             ? cfg_.lockstepQuantum
             : std::numeric_limits<std::uint64_t>::max();
     std::uint64_t idle_rounds = 0;
-    while (!(settled(*master_) && settled(*slave_))) {
+    while (!(master_->settled() && slave_->settled())) {
         bool progressed = false;
         for (int side = 0; side < 2; ++side) {
             vm::Machine &m = side == 0 ? *master_ : *slave_;
-            if (settled(m))
+            if (m.settled())
                 continue;
             std::uint64_t got = 0;
             m.stepMany(kQuantum, got);
@@ -398,7 +392,7 @@ DualRun::driveThreaded()
     };
     std::thread mt(loop, std::ref(*master_), 0);
     std::thread st(loop, std::ref(*slave_), 1);
-    while (!(settled(*master_) && settled(*slave_))) {
+    while (!(master_->settled() && slave_->settled())) {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
         if (secondsSince(t0_) > cfg_.wallClockCap) {
             deadlocked_ = true;
@@ -419,7 +413,7 @@ DualRun::finished() const
 DualSnapshot
 DualRun::capture()
 {
-    checkInvariant(settled(*master_) && settled(*slave_),
+    checkInvariant(master_->settled() && slave_->settled(),
                    "capture requires both machines settled");
     DualSnapshot snap;
     snap.machine[0] = master_->captureImage();

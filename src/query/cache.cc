@@ -3,6 +3,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <list>
+#include <map>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -191,110 +194,22 @@ parseVerdict(const std::string &text)
     return v;
 }
 
-ResultCache::ResultCache(std::size_t capacity, std::string dir,
-                         obs::Registry *registry)
-    : capacity_(capacity ? capacity : 1), dir_(std::move(dir)),
-      registry_(registry)
-{}
+// ---------------------------------------------------------------
+// ShardedResultCache
+// ---------------------------------------------------------------
 
-void
-ResultCache::touch(std::map<CacheKey, std::size_t>::iterator it)
+namespace {
+
+std::string
+recordPath(const std::string &dir, const CacheKey &key)
 {
-    Slot &slot = slots_[it->second];
-    lru_.erase(slot.lruPos);
-    lru_.push_front(it->second);
-    slot.lruPos = lru_.begin();
+    return dir + "/" + key.digest() + ".ldxq";
 }
 
 std::optional<QueryVerdict>
-ResultCache::lookup(const CacheKey &key)
+loadFromDisk(const std::string &dir, const CacheKey &key)
 {
-    std::optional<QueryVerdict> v = peek(key);
-    if (!v) {
-        ++misses_;
-        if (registry_)
-            registry_->counter("campaign.cache.misses").inc();
-    }
-    return v;
-}
-
-std::optional<QueryVerdict>
-ResultCache::peek(const CacheKey &key)
-{
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-        touch(it);
-        ++hits_;
-        if (registry_)
-            registry_->counter("campaign.cache.hits").inc();
-        return slots_[it->second].verdict;
-    }
-    if (!dir_.empty()) {
-        std::optional<QueryVerdict> disk = loadFromDisk(key);
-        if (disk) {
-            ++hits_;
-            ++diskLoads_;
-            if (registry_) {
-                registry_->counter("campaign.cache.hits").inc();
-                registry_->counter("campaign.cache.disk_loads").inc();
-            }
-            // Promote into the memory tier (without re-writing disk).
-            QueryVerdict v = *disk;
-            storeInMemory(key, v);
-            return disk;
-        }
-    }
-    return std::nullopt;
-}
-
-void
-ResultCache::store(const CacheKey &key, const QueryVerdict &verdict)
-{
-    storeInMemory(key, verdict);
-    if (!dir_.empty())
-        storeToDisk(key, verdict);
-}
-
-void
-ResultCache::storeInMemory(const CacheKey &key,
-                           const QueryVerdict &verdict)
-{
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-        slots_[it->second].verdict = verdict;
-        touch(it);
-        return;
-    }
-    if (entries_.size() >= capacity_) {
-        std::size_t victim = lru_.back();
-        lru_.pop_back();
-        entries_.erase(slots_[victim].key);
-        freeSlots_.push_back(victim);
-        ++evictions_;
-        if (registry_)
-            registry_->counter("campaign.cache.evictions").inc();
-    }
-    std::size_t slot_idx;
-    if (!freeSlots_.empty()) {
-        slot_idx = freeSlots_.back();
-        freeSlots_.pop_back();
-    } else {
-        slot_idx = slots_.size();
-        slots_.emplace_back();
-    }
-    Slot &slot = slots_[slot_idx];
-    slot.key = key;
-    slot.verdict = verdict;
-    lru_.push_front(slot_idx);
-    slot.lruPos = lru_.begin();
-    entries_.emplace(key, slot_idx);
-}
-
-std::optional<QueryVerdict>
-ResultCache::loadFromDisk(const CacheKey &key)
-{
-    std::ifstream in(dir_ + "/" + key.digest() + ".ldxq",
-                     std::ios::binary);
+    std::ifstream in(recordPath(dir, key), std::ios::binary);
     if (!in)
         return std::nullopt;
     std::ostringstream ss;
@@ -302,12 +217,14 @@ ResultCache::loadFromDisk(const CacheKey &key)
     return parseVerdict(ss.str());
 }
 
-void
-ResultCache::storeToDisk(const CacheKey &key, const QueryVerdict &verdict)
+/** Persist one record; returns whether it landed. */
+bool
+storeToDisk(const std::string &dir, const CacheKey &key,
+            const QueryVerdict &verdict)
 {
     std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);
-    std::string path = dir_ + "/" + key.digest() + ".ldxq";
+    std::filesystem::create_directories(dir, ec);
+    std::string path = recordPath(dir, key);
     // Write-to-temp + atomic rename: a reader never observes a
     // half-written record, and concurrent writers of the same key
     // each land a complete record (last rename wins). The temp name
@@ -321,33 +238,72 @@ ResultCache::storeToDisk(const CacheKey &key, const QueryVerdict &verdict)
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out)
-            return;
+            return false;
         out << serializeVerdict(verdict);
         if (!out) {
             out.close();
             std::filesystem::remove(tmp, ec);
-            return;
+            return false;
         }
     }
     std::filesystem::rename(tmp, path, ec);
     if (ec) {
         std::filesystem::remove(tmp, ec);
-        return;
+        return false;
     }
-    ++diskStores_;
-    if (registry_)
-        registry_->counter("campaign.cache.disk_stores").inc();
+    return true;
 }
 
-// ---------------------------------------------------------------
-// ShardedResultCache
-// ---------------------------------------------------------------
+} // namespace
+
+/** One LRU partition; every member is guarded by `mutex`. */
+struct ShardedResultCache::Shard
+{
+    using Entry = std::pair<CacheKey, QueryVerdict>;
+
+    explicit Shard(std::size_t cap) : capacity(cap) {}
+
+    /** The in-memory verdict for @p key (refreshed to most recent). */
+    const QueryVerdict *
+    find(const CacheKey &key)
+    {
+        auto it = index.find(key);
+        if (it == index.end())
+            return nullptr;
+        lru.splice(lru.begin(), lru, it->second);
+        return &it->second->second;
+    }
+
+    /** Insert or refresh; returns whether the LRU tail was evicted. */
+    bool
+    insert(const CacheKey &key, const QueryVerdict &verdict)
+    {
+        if (auto it = index.find(key); it != index.end()) {
+            it->second->second = verdict;
+            lru.splice(lru.begin(), lru, it->second);
+            return false;
+        }
+        bool evicted = index.size() >= capacity;
+        if (evicted) {
+            index.erase(lru.back().first);
+            lru.pop_back();
+        }
+        lru.emplace_front(key, verdict);
+        index.emplace(key, lru.begin());
+        return evicted;
+    }
+
+    std::mutex mutex;
+    std::size_t capacity;
+    std::list<Entry> lru; ///< most recently used first
+    std::map<CacheKey, std::list<Entry>::iterator> index;
+};
 
 ShardedResultCache::ShardedResultCache(std::size_t capacity,
                                        std::size_t shards,
                                        std::string dir,
                                        obs::Registry *registry)
-    : registry_(registry)
+    : dir_(std::move(dir)), registry_(registry)
 {
     if (capacity == 0)
         capacity = 1;
@@ -361,68 +317,27 @@ ShardedResultCache::ShardedResultCache(std::size_t capacity,
     std::size_t extra = capacity % shards;
     shards_.reserve(shards);
     for (std::size_t i = 0; i < shards; ++i)
-        shards_.push_back(std::make_unique<Shard>(
-            base + (i < extra ? 1 : 0), dir));
+        shards_.push_back(
+            std::make_unique<Shard>(base + (i < extra ? 1 : 0)));
 }
+
+ShardedResultCache::~ShardedResultCache() = default;
 
 ShardedResultCache::Shard &
 ShardedResultCache::shardFor(const CacheKey &key)
 {
+    if (shards_.size() == 1)
+        return *shards_[0];
     return *shards_[obs::fnv1a(key.digest()) % shards_.size()];
 }
 
-std::optional<QueryVerdict>
-ShardedResultCache::peekLocked(Shard &shard, const CacheKey &key,
-                               obs::Registry *tenant)
-{
-    std::uint64_t loads = shard.cache.diskLoads();
-    std::optional<QueryVerdict> v = shard.cache.peek(key);
-    if (!v)
-        return std::nullopt;
-    bool fromDisk = shard.cache.diskLoads() != loads;
-    if (registry_) {
-        registry_->counter("serve.cache.hits").inc();
-        if (fromDisk)
-            registry_->counter("serve.cache.disk_loads").inc();
-    }
-    if (tenant) {
-        tenant->counter("campaign.cache.hits").inc();
-        if (fromDisk)
-            tenant->counter("campaign.cache.disk_loads").inc();
-    }
-    return v;
-}
-
 void
-ShardedResultCache::countMiss(obs::Registry *tenant)
+ShardedResultCache::book(const char *name, obs::Registry *tenant)
 {
-    missCount_.fetch_add(1, std::memory_order_relaxed);
     if (registry_)
-        registry_->counter("serve.cache.misses").inc();
+        registry_->counter(std::string("serve.cache.") + name).inc();
     if (tenant)
-        tenant->counter("campaign.cache.misses").inc();
-}
-
-void
-ShardedResultCache::storeLocked(Shard &shard, const CacheKey &key,
-                                const QueryVerdict &verdict,
-                                obs::Registry *tenant)
-{
-    std::uint64_t evicts = shard.cache.evictions();
-    std::uint64_t stores = shard.cache.diskStores();
-    shard.cache.store(key, verdict);
-    if (shard.cache.evictions() != evicts) {
-        if (registry_)
-            registry_->counter("serve.cache.evictions").inc();
-        if (tenant)
-            tenant->counter("campaign.cache.evictions").inc();
-    }
-    if (shard.cache.diskStores() != stores) {
-        if (registry_)
-            registry_->counter("serve.cache.disk_stores").inc();
-        if (tenant)
-            tenant->counter("campaign.cache.disk_stores").inc();
-    }
+        tenant->counter(std::string("campaign.cache.") + name).inc();
 }
 
 std::optional<QueryVerdict>
@@ -430,71 +345,44 @@ ShardedResultCache::lookup(const CacheKey &key, obs::Registry *tenant)
 {
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    std::optional<QueryVerdict> v = peekLocked(shard, key, tenant);
-    if (!v)
-        countMiss(tenant);
-    return v;
+    if (const QueryVerdict *v = shard.find(key)) {
+        ++hits_;
+        book("hits", tenant);
+        return *v;
+    }
+    if (!dir_.empty()) {
+        if (std::optional<QueryVerdict> disk = loadFromDisk(dir_, key)) {
+            ++hits_;
+            book("hits", tenant);
+            book("disk_loads", tenant);
+            // Promote into the memory tier without re-writing disk.
+            if (shard.insert(key, *disk)) {
+                ++evictions_;
+                book("evictions", tenant);
+            }
+            return disk;
+        }
+    }
+    ++misses_;
+    book("misses", tenant);
+    return std::nullopt;
 }
 
-void
+bool
 ShardedResultCache::store(const CacheKey &key,
                           const QueryVerdict &verdict,
                           obs::Registry *tenant)
 {
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    storeLocked(shard, key, verdict, tenant);
-}
-
-QueryVerdict
-ShardedResultCache::getOrCompute(const CacheKey &key,
-                                 const std::function<QueryVerdict()> &fn,
-                                 bool *computed, obs::Registry *tenant)
-{
-    Shard &shard = shardFor(key);
-    std::string digest = key.digest();
-    {
-        std::unique_lock<std::mutex> lock(shard.mutex);
-        for (;;) {
-            std::optional<QueryVerdict> v =
-                peekLocked(shard, key, tenant);
-            if (v) {
-                if (computed)
-                    *computed = false;
-                return *v;
-            }
-            if (!shard.inflight.count(digest))
-                break;
-            // Another thread is computing this exact key: wait and
-            // re-probe. The eventual probe counts as a hit; only
-            // the computing thread charges the miss.
-            shard.cv.wait(lock, [&] {
-                return !shard.inflight.count(digest);
-            });
-        }
-        countMiss(tenant);
-        shard.inflight.insert(digest);
+    bool evicted = shard.insert(key, verdict);
+    if (evicted) {
+        ++evictions_;
+        book("evictions", tenant);
     }
-    QueryVerdict verdict;
-    try {
-        verdict = fn(); // outside the shard lock
-    } catch (...) {
-        {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            shard.inflight.erase(digest);
-        }
-        shard.cv.notify_all();
-        throw;
-    }
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        storeLocked(shard, key, verdict, tenant);
-        shard.inflight.erase(digest);
-    }
-    shard.cv.notify_all();
-    if (computed)
-        *computed = true;
-    return verdict;
+    if (!dir_.empty() && storeToDisk(dir_, key, verdict))
+        book("disk_stores", tenant);
+    return evicted;
 }
 
 std::size_t
@@ -503,37 +391,7 @@ ShardedResultCache::size() const
     std::size_t total = 0;
     for (const auto &s : shards_) {
         std::lock_guard<std::mutex> lock(s->mutex);
-        total += s->cache.size();
-    }
-    return total;
-}
-
-std::uint64_t
-ShardedResultCache::hits() const
-{
-    std::uint64_t total = 0;
-    for (const auto &s : shards_) {
-        std::lock_guard<std::mutex> lock(s->mutex);
-        total += s->cache.hits();
-    }
-    return total;
-}
-
-std::uint64_t
-ShardedResultCache::misses() const
-{
-    // Shards probe via ResultCache::peek (which never counts a
-    // miss), so misses are tallied here at the sharded level.
-    return missCount_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-ShardedResultCache::evictions() const
-{
-    std::uint64_t total = 0;
-    for (const auto &s : shards_) {
-        std::lock_guard<std::mutex> lock(s->mutex);
-        total += s->cache.evictions();
+        total += s->index.size();
     }
     return total;
 }

@@ -9,26 +9,20 @@
  *
  *   (program hash, world hash, source id, policy)
  *
- * The in-memory tier is a bounded LRU map. When a cache directory is
- * configured, verdicts are additionally persisted as small text
- * records (one file per key, named by the key hash), so a re-run of
- * the same campaign — or an overlapping campaign over the same
- * program/world — performs zero dual executions for the shared
+ * The in-memory tier is a bounded, sharded LRU map. When a cache
+ * directory is configured, verdicts are additionally persisted as
+ * small text records (one file per key, named by the key hash), so a
+ * re-run of the same campaign — or an overlapping campaign over the
+ * same program/world — performs zero dual executions for the shared
  * queries. Hit/miss/eviction tallies land in the campaign's metrics
  * registry (campaign.cache.*).
  */
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -70,85 +64,24 @@ std::uint64_t hashWorld(const os::WorldSpec &world);
 /** fnv1a of the printed IR of @p module. */
 std::uint64_t hashProgram(const ir::Module &module);
 
-/** Bounded LRU verdict cache with optional directory persistence. */
-class ResultCache
-{
-  public:
-    /**
-     * @param capacity  in-memory entry cap (>= 1)
-     * @param dir       persistence directory ("" = memory only); it
-     *                  is created on first store
-     * @param registry  campaign metrics registry (may be null)
-     */
-    ResultCache(std::size_t capacity, std::string dir,
-                obs::Registry *registry);
-
-    /** Verdict for @p key, or nullopt. Counts a hit or a miss. */
-    std::optional<QueryVerdict> lookup(const CacheKey &key);
-
-    /**
-     * Like lookup() but a failed probe does not count as a miss.
-     * The sharded tier uses this to avoid charging a miss to a
-     * waiter that is about to be served by an in-flight compute.
-     */
-    std::optional<QueryVerdict> peek(const CacheKey &key);
-
-    /** Insert (or refresh) @p verdict under @p key. */
-    void store(const CacheKey &key, const QueryVerdict &verdict);
-
-    std::size_t size() const { return entries_.size(); }
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
-    std::uint64_t evictions() const { return evictions_; }
-    std::uint64_t diskLoads() const { return diskLoads_; }
-    std::uint64_t diskStores() const { return diskStores_; }
-
-  private:
-    friend class ShardedResultCache;
-
-    void touch(std::map<CacheKey, std::size_t>::iterator it);
-    void storeInMemory(const CacheKey &key, const QueryVerdict &verdict);
-    std::optional<QueryVerdict> loadFromDisk(const CacheKey &key);
-    void storeToDisk(const CacheKey &key, const QueryVerdict &verdict);
-
-    std::size_t capacity_;
-    std::string dir_;
-    obs::Registry *registry_;
-
-    // LRU bookkeeping: entries_ maps key -> slot in slots_; lru_
-    // orders slot indices, most recent first.
-    struct Slot
-    {
-        CacheKey key;
-        QueryVerdict verdict;
-        std::list<std::size_t>::iterator lruPos;
-    };
-    std::map<CacheKey, std::size_t> entries_;
-    std::vector<Slot> slots_;
-    std::vector<std::size_t> freeSlots_;
-    std::list<std::size_t> lru_;
-
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t evictions_ = 0;
-    std::uint64_t diskLoads_ = 0;
-    std::uint64_t diskStores_ = 0;
-};
-
 /**
- * Process-wide concurrent verdict cache: N independently locked
- * shards, each a bounded ResultCache, all sharing one disk tier.
- * The global in-memory cap is split evenly across shards so the
- * whole structure never holds more than @p capacity entries. Keys
- * are routed to shards by digest hash, so every thread agrees on
- * the owning shard and the per-shard lock serializes that key.
+ * Concurrent bounded verdict cache: N independently locked shards,
+ * each an LRU map, all sharing one optional disk tier. The global
+ * in-memory cap is split across shards so the whole structure never
+ * holds more than @p capacity entries. Keys are routed to shards by
+ * digest hash, so every thread agrees on the owning shard and the
+ * per-shard lock serializes that key. An offline campaign uses one
+ * shard, which is exactly a single LRU; `ldx serve` shares one
+ * many-shard instance across tenants.
+ *
+ * Concurrent misses on one key are not merged: each caller that
+ * misses executes its query and stores an identical verdict (the
+ * verdict is a function of the key), so the bytes never differ.
  *
  * Metrics are double-booked: every operation bumps the process-wide
  * registry passed to the constructor under `serve.cache.*`, and the
- * optional per-call @p tenant registry under the same
- * `campaign.cache.*` names the single-threaded ResultCache uses —
- * so a campaign served through the shared cache reports the exact
- * counters an offline run of the same job would.
+ * optional per-call @p tenant registry under `campaign.cache.*`, so
+ * a campaign reports the same counters whichever instance it uses.
  */
 class ShardedResultCache
 {
@@ -156,61 +89,47 @@ class ShardedResultCache
     /**
      * @param capacity  global in-memory entry cap (>= 1)
      * @param shards    shard count (clamped to [1, capacity])
-     * @param dir       shared persistence directory ("" = memory only)
+     * @param dir       shared persistence directory ("" = memory
+     *                  only); it is created on first store
      * @param registry  process-wide metrics registry (may be null)
      */
     ShardedResultCache(std::size_t capacity, std::size_t shards,
                        std::string dir, obs::Registry *registry);
+    ~ShardedResultCache();
+
+    ShardedResultCache(const ShardedResultCache &) = delete;
+    ShardedResultCache &operator=(const ShardedResultCache &) = delete;
 
     /** Verdict for @p key, or nullopt. Counts a hit or a miss. */
     std::optional<QueryVerdict> lookup(const CacheKey &key,
                                        obs::Registry *tenant = nullptr);
 
-    /** Insert (or refresh) @p verdict under @p key. */
-    void store(const CacheKey &key, const QueryVerdict &verdict,
-               obs::Registry *tenant = nullptr);
-
     /**
-     * Return the cached verdict for @p key, computing it via @p fn at
-     * most once per residency even when many threads ask at once:
-     * the first requester computes (outside the shard lock) while
-     * later requesters block until the result lands, then read it as
-     * a hit. @p computed reports whether this call ran @p fn.
+     * Insert (or refresh) @p verdict under @p key. Returns whether
+     * the insert evicted the shard's least recently used entry.
      */
-    QueryVerdict getOrCompute(const CacheKey &key,
-                              const std::function<QueryVerdict()> &fn,
-                              bool *computed = nullptr,
-                              obs::Registry *tenant = nullptr);
+    bool store(const CacheKey &key, const QueryVerdict &verdict,
+               obs::Registry *tenant = nullptr);
 
     std::size_t shardCount() const { return shards_.size(); }
     std::size_t size() const;
-    std::uint64_t hits() const;
-    std::uint64_t misses() const;
-    std::uint64_t evictions() const;
+    std::uint64_t hits() const { return hits_.load(); }
+    std::uint64_t misses() const { return misses_.load(); }
+    std::uint64_t evictions() const { return evictions_.load(); }
 
   private:
-    struct Shard
-    {
-        Shard(std::size_t capacity, std::string dir)
-            : cache(capacity, std::move(dir), nullptr)
-        {}
-        std::mutex mutex;
-        std::condition_variable cv;
-        ResultCache cache;
-        std::set<std::string> inflight; ///< digests being computed
-    };
+    struct Shard;
 
     Shard &shardFor(const CacheKey &key);
-    std::optional<QueryVerdict> peekLocked(Shard &shard,
-                                           const CacheKey &key,
-                                           obs::Registry *tenant);
-    void countMiss(obs::Registry *tenant);
-    void storeLocked(Shard &shard, const CacheKey &key,
-                     const QueryVerdict &verdict, obs::Registry *tenant);
+    /** Bump serve.cache.@p name and the tenant's campaign.cache.@p name. */
+    void book(const char *name, obs::Registry *tenant);
 
     std::vector<std::unique_ptr<Shard>> shards_;
+    std::string dir_;
     obs::Registry *registry_;
-    std::atomic<std::uint64_t> missCount_{0};
+    std::atomic<std::uint64_t> hits_{0};
+    std::atomic<std::uint64_t> misses_{0};
+    std::atomic<std::uint64_t> evictions_{0};
 };
 
 /**

@@ -110,16 +110,14 @@ runCampaign(const ir::Module &module, const os::WorldSpec &world,
     // Every query's probe is a span on the pipeline lane; a hit
     // additionally emits the query's terminal `query.cached` marker.
     timer.begin("campaign.probe-cache");
-    // Private cache unless the caller provides the process-wide
-    // sharded tier (`ldx serve`); either way the probe runs on this
-    // thread so only misses reach the pool.
-    ResultCache cache(cfg.cacheCapacity,
-                      cfg.sharedCache ? std::string() : cfg.cacheDir,
-                      reg);
-    auto probe = [&](const CacheKey &key) {
-        return cfg.sharedCache ? cfg.sharedCache->lookup(key, reg)
-                               : cache.lookup(key);
-    };
+    // An offline campaign owns a one-shard cache (exactly one LRU);
+    // `ldx serve` passes its process-wide sharded tier. Either way the
+    // probe runs on this thread so only misses reach the pool.
+    std::optional<ShardedResultCache> own_cache;
+    ShardedResultCache *cache = cfg.sharedCache;
+    if (!cache)
+        cache = &own_cache.emplace(cfg.cacheCapacity, 1, cfg.cacheDir,
+                                   nullptr);
     std::uint64_t probe_hits = 0, probe_misses = 0;
     std::vector<std::size_t> misses;
     for (const CampaignQuery &q : res.queries) {
@@ -131,7 +129,7 @@ runCampaign(const ir::Module &module, const os::WorldSpec &world,
             continue;
         }
         std::int64_t probe_t0 = obs::nowUs();
-        std::optional<QueryVerdict> v = probe(keyOf(res, q));
+        std::optional<QueryVerdict> v = cache->lookup(keyOf(res, q), reg);
         obs::emitSpan(cfg.traceSink, "query.probe", q.index,
                       obs::kPipelineLane, probe_t0,
                       obs::nowUs() - probe_t0);
@@ -232,12 +230,16 @@ runCampaign(const ir::Module &module, const os::WorldSpec &world,
         }
     };
     SchedulerConfig scfg;
-    scfg.jobs = cfg.jobs;
     scfg.queueCap = cfg.queueCap;
     scfg.cancel = cfg.cancel;
     scfg.registry = reg;
     scfg.traceSink = cfg.traceSink;
-    scfg.shared = cfg.sharedPool;
+    // An offline campaign is the only tenant of a pool of its own;
+    // `ldx serve` runs every job as a tenant of one shared pool.
+    std::optional<SharedPool> own_pool;
+    SharedPool *workers = cfg.sharedPool;
+    if (!workers)
+        workers = &own_pool.emplace(SharedPool::Config{cfg.jobs, nullptr});
     std::vector<RunOutcome> pool;
     if (cfg.snapshot) {
         // Snapshot mode: the pool's unit of work is a *group* — the
@@ -296,7 +298,7 @@ runCampaign(const ir::Module &module, const os::WorldSpec &world,
         };
         scfg.spanIds = &group_spans;
         std::vector<RunOutcome> gpool =
-            runOnPool(groups.size(), runGroup, scfg);
+            workers->runTenant(groups.size(), runGroup, scfg);
         // Fan each group's outcome back out to its per-query slots.
         pool.resize(misses.size());
         for (std::size_t k = 0; k < groups.size(); ++k)
@@ -304,7 +306,7 @@ runCampaign(const ir::Module &module, const os::WorldSpec &world,
                 pool[j] = gpool[k];
     } else {
         scfg.spanIds = &misses;
-        pool = runOnPool(misses.size(), runOne, scfg);
+        pool = workers->runTenant(misses.size(), runOne, scfg);
     }
     timer.end();
 
@@ -317,12 +319,9 @@ runCampaign(const ir::Module &module, const os::WorldSpec &world,
         res.outcomes[qi] = pool[j];
         if (pool[j].status == RunStatus::Done && miss_verdicts[j]) {
             res.verdicts[qi] = std::move(miss_verdicts[j]);
-            if (cfg.sharedCache)
-                cfg.sharedCache->store(keyOf(res, res.queries[qi]),
-                                       *res.verdicts[qi], reg);
-            else
-                cache.store(keyOf(res, res.queries[qi]),
-                            *res.verdicts[qi]);
+            if (cache->store(keyOf(res, res.queries[qi]),
+                             *res.verdicts[qi], reg))
+                ++res.cacheEvictions;
             res.queryProfiles[qi] = std::move(miss_profiles[j]);
         }
     }
@@ -389,10 +388,6 @@ runCampaign(const ir::Module &module, const os::WorldSpec &world,
     reg->counter("campaign.dual.prefix_instrs").inc(res.prefixInstrs);
     res.cacheHits = probe_hits;
     res.cacheMisses = probe_misses;
-    // Evictions are per-tenant for a private cache but process-wide
-    // for the shared tier (serve.cache.evictions), so a shared-cache
-    // campaign reports none of its own.
-    res.cacheEvictions = cfg.sharedCache ? 0 : cache.evictions();
 
     std::vector<const QueryVerdict *> slots(res.queries.size(), nullptr);
     for (std::size_t i = 0; i < res.queries.size(); ++i)

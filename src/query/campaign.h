@@ -7,7 +7,7 @@
  * sources and sinks (query/enumerate.h); the planner crosses every
  * queryable source with every mutation policy into a query list; the
  * result cache is probed on the planning thread; cache misses run as
- * independent dual executions on the work-stealing pool
+ * independent dual executions on the worker pool
  * (query/scheduler.h); and the aggregator folds the per-query
  * verdicts into a deterministic causality graph (query/graph.h).
  *
@@ -62,7 +62,7 @@ struct CampaignConfig
     bool threaded = false;
     core::DriverConfig driver;
 
-    /** Worker threads (>= 1). */
+    /** Worker threads of the campaign's own pool (>= 1). */
     int jobs = 1;
 
     /** Admission cap: max outstanding queries (>= 1). */
@@ -74,10 +74,10 @@ struct CampaignConfig
      */
     double deadlineSeconds = 30.0;
 
-    /** In-memory result-cache capacity (entries, >= 1). */
+    /** Capacity of the campaign's own result cache (entries, >= 1). */
     std::size_t cacheCapacity = 4096;
 
-    /** Cache persistence directory ("" = memory only). */
+    /** The own cache's persistence directory ("" = memory only). */
     std::string cacheDir;
 
     /** Retained baseline events (enumeration cap). */
@@ -141,21 +141,19 @@ struct CampaignConfig
     std::uint64_t chaosDropSnapshotPage = 0;
 
     /**
-     * Process-wide sharded verdict cache (`ldx serve`). When set the
-     * campaign probes and populates it instead of constructing a
-     * private ResultCache; `cacheCapacity`/`cacheDir` are ignored
-     * (the shared cache owns both) while per-campaign
-     * campaign.cache.* counters still land in `registry`.
-     * CampaignResult::cacheEvictions reads 0 — evictions belong to
-     * the process, not to any one tenant (serve.cache.evictions).
+     * Process-wide sharded verdict cache (`ldx serve`). When null the
+     * campaign builds a one-shard cache of its own from
+     * `cacheCapacity`/`cacheDir`; when set, those two are ignored (the
+     * shared cache owns both). Either way the campaign's
+     * campaign.cache.* counters land in `registry`.
      */
     ShardedResultCache *sharedCache = nullptr;
 
     /**
-     * Process-wide worker pool (`ldx serve`). When set the campaign
-     * runs as one tenant of the pool (SchedulerConfig::shared):
-     * `jobs` is ignored, `queueCap` stays the per-tenant admission
-     * cap, and the output bytes are unchanged from a private pool.
+     * Process-wide worker pool (`ldx serve`). The campaign always runs
+     * as one tenant of a pool: of this one when set (`jobs` is then
+     * ignored), otherwise of a `jobs`-worker pool it builds itself.
+     * `queueCap` is the per-tenant admission cap either way.
      */
     SharedPool *sharedPool = nullptr;
 
@@ -223,6 +221,7 @@ struct CampaignResult
     std::uint64_t dualExecutions = 0; ///< engine runs actually made
     std::uint64_t cacheHits = 0;
     std::uint64_t cacheMisses = 0;
+    /** Evictions caused by this campaign's own cache stores. */
     std::uint64_t cacheEvictions = 0;
     std::uint64_t cancelledQueries = 0;
     std::uint64_t failedQueries = 0;

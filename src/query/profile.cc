@@ -67,7 +67,7 @@ profileJson(const CampaignResult &res, const obs::MetricsSnapshot &snap,
         wait_s.add(res.outcomes[i].queueWaitSeconds);
     }
 
-    std::string out = "{\"schema\":\"ldx-campaign-profile-v1\"";
+    std::string out = "{\"schema\":\"ldx-campaign-profile-v2\"";
 
     out += ",\"queries\":{";
     out += "\"total\":" + obs::jsonNumber(static_cast<std::uint64_t>(total));
@@ -94,8 +94,6 @@ profileJson(const CampaignResult &res, const obs::MetricsSnapshot &snap,
 
     out += ",\"sched\":{";
     out += "\"jobs\":" + obs::jsonNumber(snap.gaugeOr("campaign.sched.jobs"));
-    out += ",\"steals\":" +
-           obs::jsonNumber(snap.counterOr("campaign.sched.steals"));
     out += ",\"utilization\":" +
            obs::jsonNumber(snap.gaugeOr("campaign.sched.utilization"));
     out += ",\"worker_busy_seconds\":[";

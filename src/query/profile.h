@@ -12,14 +12,14 @@
  *    failed) and dual-execution totals;
  *  - exec-latency and queue-wait percentile summaries (p50/p95/p99)
  *    over the executed queries;
- *  - cache and work-stealing statistics plus per-worker busy time and
- *    overall pool utilization from the campaign registry;
+ *  - cache statistics plus per-worker busy time and overall pool
+ *    utilization from the campaign registry;
  *  - the campaign phase breakdown (enumerate / plan / probe-cache /
  *    execute / aggregate);
  *  - the top-N slowest queries with per-phase (queue-wait, exec)
  *    breakdown, worker, status, and verdict quality.
  *
- * Schema `ldx-campaign-profile-v1`. Ordering is deterministic (ties
+ * Schema `ldx-campaign-profile-v2`. Ordering is deterministic (ties
  * in the slowest-query ranking break on query index), but the values
  * are wall-clock measurements — never byte-diff this artifact.
  */
@@ -43,8 +43,8 @@ struct ProfileOptions
 
 /**
  * Render the profile report of @p res as one JSON document.
- * @p snap is the campaign registry's post-run snapshot (cache, steal,
- * and utilization statistics are read from it).
+ * @p snap is the campaign registry's post-run snapshot (cache and
+ * utilization statistics are read from it).
  */
 std::string profileJson(const CampaignResult &res,
                         const obs::MetricsSnapshot &snap,

@@ -1,45 +1,45 @@
 /**
  * @file
- * Bounded work-stealing scheduler for campaign queries.
+ * The worker pool that runs campaign queries.
  *
- * The pool runs one dual-execution pair per query on a fixed set of
- * worker threads. Design constraints (docs/CAMPAIGN.md "Scheduler
- * semantics"):
+ * One SharedPool owns a fixed set of worker threads. Each campaign
+ * registers as a *tenant* with its own FIFO queue; an offline
+ * campaign is the only tenant of a pool it builds for itself, while
+ * `ldx serve` shares one pool across every concurrent job. Design
+ * constraints (docs/CAMPAIGN.md "Scheduler semantics"):
  *
  *  - *Determinism*: results are collected into a slot array indexed
- *    by query id and aggregated only after the pool drains, so the
+ *    by item and aggregated only after the tenant drains, so the
  *    campaign's output is byte-identical regardless of worker count,
- *    stealing, or completion order.
- *  - *Admission control*: at most `queueCap` queries are outstanding
- *    (queued but unfinished) at once; the submitting thread blocks
- *    until workers drain the backlog. This bounds memory for
- *    campaigns with hundreds of thousands of queries.
- *  - *Work stealing*: each worker owns a deque fed round-robin; a
- *    worker that runs dry pops from the back of the fullest peer
- *    deque (campaign.sched.steals counts them), so one slow query
- *    never idles the rest of the pool.
+ *    completion order, or what other tenants are doing.
+ *  - *Admission control*: at most `queueCap` items of a tenant are
+ *    outstanding (queued but unfinished) at once; the submitting
+ *    thread blocks until workers drain the backlog. This bounds
+ *    memory for campaigns with hundreds of thousands of queries.
+ *  - *Fair dequeue*: workers visit tenants with a rotating cursor,
+ *    one item per visit, so a huge job cannot starve small ones.
+ *    Within a tenant, items run oldest-first.
  *  - *Cancellation / graceful drain*: when the cancel flag flips (the
- *    CLI's SIGINT handler), submission stops and queued-but-unstarted
- *    queries return Cancelled; in-flight queries run to completion so
- *    their verdicts are never torn.
+ *    CLI's SIGINT handler), submission stops and unsubmitted items
+ *    return Cancelled; queued and in-flight items run to completion
+ *    so their verdicts are never torn.
  *  - *Deadline/watchdog*: the per-query deadline is enforced by the
  *    engine's wall-clock cap (the query fn maps expiry to a TimedOut
- *    verdict); the scheduler additionally tracks per-query runtime
- *    into the campaign.query_seconds histogram.
+ *    verdict); the pool tracks per-item runtime into the
+ *    campaign.query_seconds histogram.
  *  - *Telemetry*: per-item queue wait and execution latency land in
- *    the campaign.{queue_wait_seconds,query_seconds} histograms, a
- *    live campaign.sched.active_workers gauge plus post-drain
- *    per-worker busy/utilization gauges feed the progress meter and
- *    the exporter, and when a trace sink is configured every executed
- *    item emits span-correlated queue-wait and exec spans on its
- *    worker's lane (docs/OBSERVABILITY.md "Campaign telemetry").
+ *    the tenant's campaign.{queue_wait_seconds,query_seconds}
+ *    histograms, a live campaign.sched.active_workers gauge plus
+ *    post-drain per-worker busy/utilization gauges feed the progress
+ *    meter and the exporter, and when a trace sink is configured every
+ *    executed item emits span-correlated queue-wait and exec spans on
+ *    its worker's lane (docs/OBSERVABILITY.md "Campaign telemetry").
  */
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -50,8 +50,6 @@
 #include "obs/trace.h"
 
 namespace ldx::query {
-
-class SharedPool;
 
 /** How one scheduled query ended. */
 enum class RunStatus
@@ -77,13 +75,10 @@ struct RunOutcome
     int worker = -1;       ///< worker that ran it (observability only)
 };
 
-/** Pool configuration. */
+/** Per-tenant configuration. */
 struct SchedulerConfig
 {
-    /** Worker threads (>= 1). */
-    int jobs = 1;
-
-    /** Max outstanding (submitted, unfinished) queries (>= 1). */
+    /** Max outstanding (submitted, unfinished) items (>= 1). */
     std::size_t queueCap = 256;
 
     /** Cooperative cancellation flag (may be null). */
@@ -101,47 +96,19 @@ struct SchedulerConfig
     obs::TraceSink *traceSink = nullptr;
 
     /**
-     * Optional map from pool item index to the stable span id on
-     * emitted trace records — the campaign passes query indices here
-     * because it only schedules cache misses. Item index itself when
-     * null. Must outlive the pool and have `count` entries.
+     * Optional map from item index to the stable span id on emitted
+     * trace records — the campaign passes query indices here because
+     * it only schedules cache misses. Item index itself when null.
+     * Must outlive the run and have `count` entries.
      */
     const std::vector<std::size_t> *spanIds = nullptr;
-
-    /**
-     * When set, the run executes as one *tenant* of this process-wide
-     * pool instead of spinning up private workers: `jobs` is ignored
-     * (the pool owns the thread count) while `queueCap`, `cancel`,
-     * `registry`, `traceSink` and `spanIds` keep their per-campaign
-     * meaning. Results still land in a slot array indexed by item,
-     * so campaign output stays byte-identical to a private pool run.
-     */
-    SharedPool *shared = nullptr;
 };
 
 /**
- * Run @p fn(i) for every i in [0, count) on the pool and return one
- * outcome per index. @p fn must be thread-safe across distinct
- * indices; it is invoked at most once per index.
- */
-std::vector<RunOutcome> runOnPool(std::size_t count,
-                                  const std::function<void(std::size_t)> &fn,
-                                  const SchedulerConfig &cfg);
-
-/**
- * Process-wide worker pool shared by many concurrent campaigns
- * (`ldx serve`). Each campaign registers as a *tenant* with its own
- * FIFO queue; workers draw from tenants with a rotating fair cursor,
- * one item per visit, so a huge job cannot starve small ones — the
- * tenant-level fair dequeue replaces intra-pool stealing (within a
- * tenant, items run oldest-first). Per-tenant admission stays the
- * campaign's own `queueCap`, so a tenant's submitter blocks while
- * its backlog is at cap exactly like the private pool.
- *
- * Determinism: outcomes land in the tenant's slot array and each
- * campaign aggregates only after its own drain, so the bytes a
- * tenant produces are independent of pool size and of whatever the
- * other tenants are doing.
+ * Worker pool shared by any number of concurrent tenants. Each
+ * tenant's items land in its own slot array and each campaign
+ * aggregates only after its own drain, so the bytes a tenant
+ * produces are independent of pool size and of the other tenants.
  */
 class SharedPool
 {
@@ -163,13 +130,12 @@ class SharedPool
 
     int jobs() const { return jobs_; }
 
-    /** Tenants currently registered (drained tenants drop off). */
-    std::size_t tenantCount() const;
-
     /**
-     * Execute one campaign's items as a tenant. Called by runOnPool
-     * when SchedulerConfig::shared is set; blocks until every
-     * submitted item finished (cancelled items are never started).
+     * Run @p fn(i) for every i in [0, count) as one tenant and return
+     * one outcome per index. Blocks until every submitted item
+     * finished (cancelled items are never started). @p fn must be
+     * thread-safe across distinct indices; it is invoked at most once
+     * per index.
      */
     std::vector<RunOutcome>
     runTenant(std::size_t count,
@@ -180,18 +146,17 @@ class SharedPool
     struct Tenant;
 
     void workerLoop(int self);
-    Tenant *pickTenant();  ///< fair rotating scan; mutex_ held
-    bool pickableWork();   ///< any tenant has queued items; mutex_ held
+    Tenant *pickTenant(); ///< fair rotating scan; mutex_ held
 
     int jobs_;
     obs::Registry *registry_;
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable workCv_;
     std::vector<Tenant *> tenants_; ///< registration order
     std::size_t cursor_ = 0;        ///< next tenant slot to serve
     std::size_t inflight_ = 0;      ///< submitted, unfinished (all tenants)
-    std::atomic<int> activeWorkers_{0};
+    int active_ = 0;                ///< items running (all tenants)
     bool shutdown_ = false;
     std::vector<std::thread> threads_;
 };

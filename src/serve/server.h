@@ -7,11 +7,11 @@
  * connection is one client; each accepted `submit` frame runs a full
  * campaign as one *tenant* of the process-wide machinery:
  *
- *  - one shared work-stealing pool (query::SharedPool) executes
+ *  - one shared worker pool (query::SharedPool) executes
  *    every tenant's dual executions with per-tenant fair dequeue,
  *  - one process-wide sharded verdict cache
  *    (query::ShardedResultCache) makes a repeat submission of any
- *    job — by any client — run zero dual executions,
+ *    finished job — by any client — run zero dual executions,
  *  - admission control rejects jobs beyond `--max-tenants`
  *    concurrent campaigns or larger than `--max-job-queries`
  *    planned queries before any dual execution starts,

@@ -10,6 +10,36 @@ namespace {
 
 constexpr std::int64_t kTokenTag = 0x5a00000000000000LL;
 
+// Guest int64 arithmetic wraps (two's complement). Host signed
+// overflow is undefined, so every dispatch path computes Add, Sub,
+// Mul and Neg in uint64_t and casts back.
+inline std::int64_t
+wrapAdd(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                     static_cast<std::uint64_t>(b));
+}
+
+inline std::int64_t
+wrapSub(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                     static_cast<std::uint64_t>(b));
+}
+
+inline std::int64_t
+wrapMul(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                     static_cast<std::uint64_t>(b));
+}
+
+inline std::int64_t
+wrapNeg(std::int64_t a)
+{
+    return static_cast<std::int64_t>(0 - static_cast<std::uint64_t>(a));
+}
+
 } // namespace
 
 const char *
@@ -233,9 +263,9 @@ StepStatus
 Machine::step()
 {
     checkInvariant(started_, "Machine::step before start");
-    if (finished_)
+    if (finished())
         return trap_ ? StepStatus::Trapped : StepStatus::Finished;
-    if (pausePending_)
+    if (pauseRequested())
         return StepStatus::Stalled;
 
     int n = static_cast<int>(contexts_.size());
@@ -261,12 +291,12 @@ Machine::step()
                              instr.loc};
             emitObsInstant(obs::RecKind::Trap, "trap", ctx.tid,
                            trap_->message);
-            finished_ = true;
+            markFinished();
             if (port_)
                 port_->onFinished(*this);
             return StepStatus::Trapped;
         }
-        if (finished_)
+        if (finished())
             return trap_ ? StepStatus::Trapped : StepStatus::Finished;
         if (progressed) {
             --sliceLeft_;
@@ -274,7 +304,7 @@ Machine::step()
         }
         // Pause before the rotate bookkeeping: the scheduler state
         // stays exactly what it was going into this blocked attempt.
-        if (pausePending_)
+        if (pauseRequested())
             return StepStatus::Stalled;
         // Blocked; rotate to the next candidate.
         sliceLeft_ = 0;
@@ -293,7 +323,7 @@ Machine::settleNoPollable()
     if (all_done) {
         // Main returning finishes the program, so reaching here
         // means auxiliary threads outlived main; treat as finished.
-        finished_ = true;
+        markFinished();
         if (port_)
             port_->onFinished(*this);
         return StepStatus::Finished;
@@ -301,7 +331,7 @@ Machine::settleNoPollable()
     trap_ = TrapInfo{TrapKind::BadSyscall,
                      "guest deadlock: all threads blocked", 0, {}};
     emitObsInstant(obs::RecKind::Trap, "trap", 0, trap_->message);
-    finished_ = true;
+    markFinished();
     if (port_)
         port_->onFinished(*this);
     return StepStatus::Trapped;
@@ -312,9 +342,9 @@ Machine::stepMany(std::uint64_t budget, std::uint64_t &retired)
 {
     retired = 0;
     checkInvariant(started_, "Machine::stepMany before start");
-    if (finished_)
+    if (finished())
         return trap_ ? StepStatus::Trapped : StepStatus::Finished;
-    if (pausePending_)
+    if (pauseRequested())
         return StepStatus::Stalled;
 
     if (!useFastPath()) {
@@ -395,16 +425,16 @@ Machine::stepMany(std::uint64_t budget, std::uint64_t &retired)
                              instr.loc};
             emitObsInstant(obs::RecKind::Trap, "trap", ctx.tid,
                            trap_->message);
-            finished_ = true;
+            markFinished();
             if (port_)
                 port_->onFinished(*this);
             return StepStatus::Trapped;
         }
         retired += got;
-        if (finished_)
+        if (finished())
             return trap_ ? StepStatus::Trapped : StepStatus::Finished;
         // Pause before the poll-set/slice bookkeeping (see step()).
-        if (pausePending_)
+        if (pauseRequested())
             return StepStatus::Stalled;
         if (got > 0) {
             ++triedGen_; // progress resets the polled set
@@ -430,7 +460,7 @@ Machine::run()
                              "stalled without a dual-execution driver",
                              0, {}};
             emitObsInstant(obs::RecKind::Trap, "trap", 0, trap_->message);
-            finished_ = true;
+            markFinished();
             return StepStatus::Trapped;
         }
     }
@@ -452,7 +482,7 @@ Machine::captureImage() const
     img.mutexOwner = mutexOwner_;
     img.mutexWaiters = mutexWaiters_;
     img.started = started_;
-    img.finished = finished_;
+    img.finished = finished();
     img.exitCode = exitCode_;
     img.trap = trap_;
     img.totalInstrs = totalInstrs_;
@@ -482,7 +512,7 @@ Machine::restoreImage(const MachineImage &image,
     mutexOwner_ = image.mutexOwner;
     mutexWaiters_ = image.mutexWaiters;
     started_ = image.started;
-    finished_ = image.finished;
+    finished_.store(image.finished, std::memory_order_relaxed);
     exitCode_ = image.exitCode;
     trap_ = image.trap;
     totalInstrs_ = image.totalInstrs;
@@ -490,7 +520,7 @@ Machine::restoreImage(const MachineImage &image,
     chaosCntAdds_ = image.chaosCntAdds;
     totalBarriers_ = image.totalBarriers;
     opCounts_ = image.opCounts;
-    pausePending_ = false;
+    clearPause();
 }
 
 bool
@@ -521,9 +551,9 @@ Machine::executeOne(Context &ctx)
 
     auto arith = [&](std::int64_t a, std::int64_t b) -> std::int64_t {
         switch (instr.op) {
-          case ir::Opcode::Add: return a + b;
-          case ir::Opcode::Sub: return a - b;
-          case ir::Opcode::Mul: return a * b;
+          case ir::Opcode::Add: return wrapAdd(a, b);
+          case ir::Opcode::Sub: return wrapSub(a, b);
+          case ir::Opcode::Mul: return wrapMul(a, b);
           case ir::Opcode::Div:
             if (b == 0)
                 throw VmTrap(TrapKind::DivideByZero, "division by zero");
@@ -584,7 +614,7 @@ Machine::executeOne(Context &ctx)
         ++fr.ip;
         break;
       case ir::Opcode::Neg:
-        result = -eval(ctx, instr.a);
+        result = wrapNeg(eval(ctx, instr.a));
         setReg(ctx, instr.dst, result);
         has_result = true;
         ++fr.ip;
@@ -836,11 +866,11 @@ Machine::fastRun(Context &ctx, std::uint64_t limit)
             switch (d.op) {
               case ir::Opcode::Const: set(d.imm); ++pc; break;
               case ir::Opcode::Move: set(A()); ++pc; break;
-              case ir::Opcode::Neg: set(-A()); ++pc; break;
+              case ir::Opcode::Neg: set(wrapNeg(A())); ++pc; break;
               case ir::Opcode::Not: set(~A()); ++pc; break;
-              case ir::Opcode::Add: set(A() + B()); ++pc; break;
-              case ir::Opcode::Sub: set(A() - B()); ++pc; break;
-              case ir::Opcode::Mul: set(A() * B()); ++pc; break;
+              case ir::Opcode::Add: set(wrapAdd(A(), B())); ++pc; break;
+              case ir::Opcode::Sub: set(wrapSub(A(), B())); ++pc; break;
+              case ir::Opcode::Mul: set(wrapMul(A(), B())); ++pc; break;
               case ir::Opcode::Div: {
                 std::int64_t a = A(), b = B();
                 if (b == 0)
@@ -1267,8 +1297,8 @@ Machine::finishContext(Context &ctx, std::int64_t ret_val)
 void
 Machine::finishProgram(std::int64_t code)
 {
-    finished_ = true;
     exitCode_ = code;
+    markFinished();
     if (port_)
         port_->onFinished(*this);
 }
@@ -1426,7 +1456,7 @@ Machine::doSyscall(Context &ctx, const ir::Instr &instr)
     if (local_class) {
         if (!doLocalSyscall(ctx, instr, req, out))
             return false;
-        if (finished_)
+        if (finished())
             return true;
     }
 

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -293,9 +294,21 @@ class Machine
      * inside a SyscallPort; step()/stepMany() report Stalled while
      * pending.
      */
-    void requestPause() { pausePending_ = true; }
-    void clearPause() { pausePending_ = false; }
-    bool pauseRequested() const { return pausePending_; }
+    void
+    requestPause()
+    {
+        pausePending_.store(true, std::memory_order_release);
+    }
+    void
+    clearPause()
+    {
+        pausePending_.store(false, std::memory_order_relaxed);
+    }
+    bool
+    pauseRequested() const
+    {
+        return pausePending_.load(std::memory_order_relaxed);
+    }
 
     /**
      * Checkpoint the complete interpreter state (contexts, scheduler,
@@ -314,7 +327,25 @@ class Machine
     void restoreImage(const MachineImage &image,
                       std::uint64_t chaos_drop_page = 0);
 
-    bool finished() const { return finished_; }
+    bool
+    finished() const
+    {
+        return finished_.load(std::memory_order_relaxed);
+    }
+
+    /**
+     * finished() || pauseRequested(), safe to poll from a thread other
+     * than the one stepping this machine (the threaded driver's
+     * completion check): the acquire loads pair with the release
+     * stores that finish or pause it.
+     */
+    bool
+    settled() const
+    {
+        return finished_.load(std::memory_order_acquire) ||
+               pausePending_.load(std::memory_order_acquire);
+    }
+
     std::int64_t exitCode() const { return exitCode_; }
     const std::optional<TrapInfo> &trap() const { return trap_; }
 
@@ -418,6 +449,13 @@ class Machine
     void finishContext(Context &ctx, std::int64_t ret_val);
     void finishProgram(std::int64_t code);
 
+    /** Publish completion to settled() (release; see finished_). */
+    void
+    markFinished()
+    {
+        finished_.store(true, std::memory_order_release);
+    }
+
     std::int64_t makeToken(int fn, int block, int ip) const;
 
     /** Record + trace an instant on this machine's lane (null-safe). */
@@ -466,8 +504,10 @@ class Machine
     int obsLane_ = 0;
 
     bool started_ = false;
-    bool finished_ = false;
-    bool pausePending_ = false;
+    // Written only by the thread stepping this machine; read by the
+    // driver thread through settled().
+    std::atomic<bool> finished_{false};
+    std::atomic<bool> pausePending_{false};
     std::int64_t exitCode_ = 0;
     std::optional<TrapInfo> trap_;
     std::uint64_t totalInstrs_ = 0;

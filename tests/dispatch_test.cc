@@ -13,6 +13,7 @@
 #include <limits>
 #include <sstream>
 
+#include "lang/compiler.h"
 #include "ldx/engine.h"
 #include "obs/recorder.h"
 #include "os/kernel.h"
@@ -234,6 +235,61 @@ TEST(DispatchBatchTest, FinalStateIndependentOfBatchAndMode)
                             vm::dispatchModeName(mode));
         }
     }
+}
+
+/**
+ * Guest int64 arithmetic wraps (two's complement) on every path: the
+ * slow step() evaluator (predecode off), the switch fast path, and the
+ * threaded bodies that the fused pairs reuse. None of these overflows
+ * may be host undefined behaviour (the UBSan build checks that).
+ */
+TEST(DispatchArithmeticTest, OverflowWrapsIdenticallyOnEveryPath)
+{
+    auto module = lang::compileSource(R"(
+int show(int v) {
+    char out[24];
+    itoa(v, out);
+    print(out, strlen(out));
+    print(" ", 1);
+    return 0;
+}
+int main() {
+    int max = 9223372036854775807;
+    int min = -max - 1;
+    int m1 = -1;
+    show(max + 1);
+    show(min - 1);
+    show(min * m1);
+    show(-min);
+    show(max * 3);
+    show(3037000500 * 3037000500);
+    return 0;
+}
+)");
+    const std::string expected =
+        "-9223372036854775808 9223372036854775807 "
+        "-9223372036854775808 -9223372036854775808 "
+        "9223372036854775805 -9223372036709301616 ";
+
+    auto run = [&](vm::DispatchMode mode, bool predecode) {
+        os::Kernel kernel{os::WorldSpec{}};
+        vm::MachineConfig cfg;
+        cfg.dispatch = mode;
+        cfg.predecode = predecode;
+        vm::Machine m(*module, kernel, cfg);
+        EXPECT_EQ(m.run(), vm::StepStatus::Finished)
+            << (m.trap() ? m.trap()->message : "");
+        std::string console;
+        for (const os::OutputRecord &r : kernel.outputs())
+            console += r.payload;
+        return console;
+    };
+
+    EXPECT_EQ(run(vm::DispatchMode::Switch, false), expected)
+        << "predecode off";
+    for (vm::DispatchMode mode : kModes)
+        EXPECT_EQ(run(mode, true), expected)
+            << vm::dispatchModeName(mode);
 }
 
 /**

@@ -8,11 +8,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "instrument/instrument.h"
@@ -25,7 +28,15 @@ namespace {
 
 using query::CampaignConfig;
 using query::CampaignResult;
-using query::ResultCache;
+using query::ShardedResultCache;
+
+/** The cache an offline campaign builds: one shard, one LRU. */
+std::unique_ptr<ShardedResultCache>
+oneShardCache(std::size_t capacity, const std::string &dir = "")
+{
+    return std::make_unique<ShardedResultCache>(capacity, 1, dir,
+                                                nullptr);
+}
 
 /** Compile + instrument once per source text. */
 const ir::Module &
@@ -138,10 +149,10 @@ TEST(Enumerate, EventCapDropsTailButKeepsAggregation)
 TEST(Scheduler, RunsEveryIndexExactlyOnce)
 {
     std::vector<std::atomic<int>> hits(64);
+    query::SharedPool pool({4, nullptr});
     query::SchedulerConfig cfg;
-    cfg.jobs = 4;
     cfg.queueCap = 2; // admission control engaged
-    auto outcomes = query::runOnPool(
+    auto outcomes = pool.runTenant(
         hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }, cfg);
     ASSERT_EQ(outcomes.size(), hits.size());
     for (std::size_t i = 0; i < hits.size(); ++i) {
@@ -154,15 +165,14 @@ TEST(Scheduler, RunsEveryIndexExactlyOnce)
 
 TEST(Scheduler, ExceptionBecomesFailedOutcome)
 {
-    query::SchedulerConfig cfg;
-    cfg.jobs = 2;
-    auto outcomes = query::runOnPool(
+    query::SharedPool pool({2, nullptr});
+    auto outcomes = pool.runTenant(
         4,
         [&](std::size_t i) {
             if (i == 2)
                 throw std::runtime_error("query exploded");
         },
-        cfg);
+        query::SchedulerConfig{});
     EXPECT_EQ(outcomes[0].status, query::RunStatus::Done);
     EXPECT_EQ(outcomes[2].status, query::RunStatus::Failed);
     EXPECT_EQ(outcomes[2].error, "query exploded");
@@ -172,14 +182,83 @@ TEST(Scheduler, PreSetCancelDrainsWithoutRunning)
 {
     std::atomic<bool> cancel{true};
     std::atomic<int> ran{0};
+    query::SharedPool pool({2, nullptr});
     query::SchedulerConfig cfg;
-    cfg.jobs = 2;
     cfg.cancel = &cancel;
-    auto outcomes = query::runOnPool(
+    auto outcomes = pool.runTenant(
         8, [&](std::size_t) { ran.fetch_add(1); }, cfg);
     EXPECT_EQ(ran.load(), 0);
     for (const query::RunOutcome &o : outcomes)
         EXPECT_EQ(o.status, query::RunStatus::Cancelled);
+}
+
+// Fair dequeue: a tenant that arrives behind another tenant's long
+// backlog gets every other worker visit, so its items do not wait
+// for that backlog to drain.
+TEST(SharedPool, LateTenantIsServedBeforeAnEarlierBacklogDrains)
+{
+    constexpr std::size_t kBacklog = 10;
+    obs::Registry pool_reg;
+    query::SharedPool pool({1, &pool_reg});
+    auto inflight = [&] {
+        return pool_reg.snapshot().gaugeOr("serve.queries_inflight");
+    };
+
+    std::mutex mu;
+    std::condition_variable cv;
+    bool a_started = false, released = false;
+    std::vector<std::string> order;
+    auto record = [&](std::string what) {
+        std::lock_guard<std::mutex> lock(mu);
+        order.push_back(std::move(what));
+    };
+
+    std::thread a([&] {
+        pool.runTenant(
+            kBacklog,
+            [&](std::size_t i) {
+                if (i == 0) {
+                    std::unique_lock<std::mutex> lock(mu);
+                    a_started = true;
+                    cv.notify_all();
+                    cv.wait(lock, [&] { return released; });
+                }
+                record("A" + std::to_string(i));
+            },
+            query::SchedulerConfig{});
+    });
+    {
+        // The only worker is now parked inside A's first item.
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return a_started; });
+    }
+    while (inflight() < kBacklog) // A's whole backlog is queued
+        std::this_thread::yield();
+
+    std::thread b([&] {
+        pool.runTenant(
+            2, [&](std::size_t i) { record("B" + std::to_string(i)); },
+            query::SchedulerConfig{});
+    });
+    while (inflight() < kBacklog + 2) // B's items are queued too
+        std::this_thread::yield();
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        released = true;
+    }
+    cv.notify_all();
+    a.join();
+    b.join();
+
+    ASSERT_EQ(order.size(), kBacklog + 2);
+    auto pos = [&](const std::string &what) {
+        return std::find(order.begin(), order.end(), what) -
+               order.begin();
+    };
+    // One worker alternating tenants: A0 (already running), A1, B0,
+    // A2, B1, then the rest of A's backlog.
+    EXPECT_LT(pos("B0"), pos("A3"));
+    EXPECT_LT(pos("B1"), pos("A4"));
 }
 
 // ---------------------------------------------------------------------
@@ -215,16 +294,16 @@ verdictN(int n)
 
 TEST(Cache, LruEvictsLeastRecentlyUsed)
 {
-    ResultCache cache(2, "", nullptr);
-    cache.store(keyN(1), verdictN(1));
-    cache.store(keyN(2), verdictN(2));
-    EXPECT_TRUE(cache.lookup(keyN(1)).has_value()); // refresh 1
-    cache.store(keyN(3), verdictN(3));              // evicts 2
-    EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_FALSE(cache.lookup(keyN(2)).has_value());
-    ASSERT_TRUE(cache.lookup(keyN(1)).has_value());
-    ASSERT_TRUE(cache.lookup(keyN(3)).has_value());
-    EXPECT_EQ(*cache.lookup(keyN(3)), verdictN(3));
+    auto cache = oneShardCache(2);
+    cache->store(keyN(1), verdictN(1));
+    cache->store(keyN(2), verdictN(2));
+    EXPECT_TRUE(cache->lookup(keyN(1)).has_value()); // refresh 1
+    cache->store(keyN(3), verdictN(3));              // evicts 2
+    EXPECT_EQ(cache->evictions(), 1u);
+    EXPECT_FALSE(cache->lookup(keyN(2)).has_value());
+    ASSERT_TRUE(cache->lookup(keyN(1)).has_value());
+    ASSERT_TRUE(cache->lookup(keyN(3)).has_value());
+    EXPECT_EQ(*cache->lookup(keyN(3)), verdictN(3));
 }
 
 TEST(Cache, RecordRoundTripsAndRejectsCorruption)
@@ -267,10 +346,7 @@ TEST(Cache, TornDiskRecordIsACleanMiss)
     std::filesystem::path dir =
         std::filesystem::temp_directory_path() / "ldx_torn_cache_test";
     std::filesystem::remove_all(dir);
-    {
-        ResultCache cache(8, dir.string(), nullptr);
-        cache.store(keyN(1), verdictN(1));
-    }
+    oneShardCache(8, dir.string())->store(keyN(1), verdictN(1));
     // Tear the record mid-way, as a crash between write and rename
     // never could (the write is to a temp file) but a short disk or
     // an external truncation still can.
@@ -290,10 +366,10 @@ TEST(Cache, TornDiskRecordIsACleanMiss)
                           std::ios::binary | std::ios::trunc);
         out << text.substr(0, text.size() / 2);
     }
-    ResultCache fresh(8, dir.string(), nullptr);
-    EXPECT_FALSE(fresh.lookup(keyN(1)).has_value());
-    EXPECT_EQ(fresh.hits(), 0u);
-    EXPECT_EQ(fresh.misses(), 1u);
+    auto fresh = oneShardCache(8, dir.string());
+    EXPECT_FALSE(fresh->lookup(keyN(1)).has_value());
+    EXPECT_EQ(fresh->hits(), 0u);
+    EXPECT_EQ(fresh->misses(), 1u);
     std::filesystem::remove_all(dir);
 }
 
@@ -323,82 +399,78 @@ TEST(ShardedCache, LookupStoreAndCapacitySplit)
 }
 
 // The serve contention contract: 8 threads hammering the same and
-// disjoint keys compute each digest exactly once, respect the global
-// LRU cap, and report hit/miss totals that add up.
-TEST(ShardedCache, ContendedGetOrComputeIsExactlyOnce)
+// disjoint keys with concurrent lookup/store never lose an entry
+// under the cap, and report hit/miss totals that add up.
+TEST(ShardedCache, ConcurrentLookupStoreStress)
 {
     constexpr int kThreads = 8;
     constexpr int kSharedKeys = 4;
     constexpr int kPrivateKeys = 8;
-    query::ShardedResultCache cache(4096, 8, "", nullptr);
+    ShardedResultCache cache(4096, 8, "", nullptr);
 
-    std::atomic<int> computes{0};
     std::atomic<int> lookups{0};
+    std::atomic<int> stores{0};
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
-            // Same keys from every thread: one compute per key.
-            for (int n = 0; n < kSharedKeys; ++n) {
-                query::QueryVerdict v = cache.getOrCompute(
-                    keyN(n), [&] {
-                        computes.fetch_add(1);
-                        return verdictN(n);
-                    });
-                EXPECT_TRUE(v == verdictN(n));
+            auto probeOrFill = [&](int id) {
+                std::optional<query::QueryVerdict> v =
+                    cache.lookup(keyN(id));
                 lookups.fetch_add(1);
-            }
-            // Disjoint keys per thread: one compute each, no waits.
+                if (v) {
+                    EXPECT_TRUE(*v == verdictN(id));
+                } else {
+                    EXPECT_FALSE(cache.store(keyN(id), verdictN(id)));
+                    stores.fetch_add(1);
+                }
+            };
+            // Same keys from every thread: racing misses each store
+            // the same verdict.
+            for (int n = 0; n < kSharedKeys; ++n)
+                probeOrFill(n);
+            // Disjoint keys per thread: a miss, then a hit.
             for (int n = 0; n < kPrivateKeys; ++n) {
                 int id = 1000 + t * kPrivateKeys + n;
-                bool computed = false;
-                query::QueryVerdict v = cache.getOrCompute(
-                    keyN(id),
-                    [&] {
-                        computes.fetch_add(1);
-                        return verdictN(id);
-                    },
-                    &computed);
-                EXPECT_TRUE(computed);
-                EXPECT_TRUE(v == verdictN(id));
-                lookups.fetch_add(1);
+                probeOrFill(id);
+                probeOrFill(id);
             }
         });
     }
     for (std::thread &th : threads)
         th.join();
 
-    EXPECT_EQ(computes.load(),
-              kSharedKeys + kThreads * kPrivateKeys);
     EXPECT_EQ(cache.size(),
               static_cast<std::size_t>(kSharedKeys +
                                        kThreads * kPrivateKeys));
     EXPECT_EQ(cache.evictions(), 0u);
-    // Metric parity: every getOrCompute resolves as exactly one hit
-    // or one miss, and misses equal the computes.
+    // Metric parity: every lookup is exactly one hit or one miss, and
+    // every miss was followed by a store.
     EXPECT_EQ(cache.hits() + cache.misses(),
               static_cast<std::uint64_t>(lookups.load()));
-    EXPECT_EQ(cache.misses(),
-              static_cast<std::uint64_t>(computes.load()));
+    EXPECT_EQ(cache.misses(), static_cast<std::uint64_t>(stores.load()));
+    EXPECT_GE(cache.hits(),
+              static_cast<std::uint64_t>(kThreads * kPrivateKeys));
 }
 
 TEST(ShardedCache, GlobalLruCapHoldsUnderContention)
 {
     constexpr std::size_t kCap = 16;
-    query::ShardedResultCache cache(kCap, 4, "", nullptr);
+    ShardedResultCache cache(kCap, 4, "", nullptr);
     std::vector<std::thread> threads;
     for (int t = 0; t < 8; ++t)
         threads.emplace_back([&, t] {
             for (int n = 0; n < 100; ++n) {
                 int id = t * 1000 + n;
-                cache.getOrCompute(keyN(id),
-                                   [&] { return verdictN(id); });
+                if (!cache.lookup(keyN(id)))
+                    cache.store(keyN(id), verdictN(id));
             }
         });
     for (std::thread &th : threads)
         th.join();
     EXPECT_LE(cache.size(), kCap);
     EXPECT_GT(cache.evictions(), 0u);
+    EXPECT_EQ(cache.hits() + cache.misses(), 800u);
 }
 
 TEST(Cache, DiskTierSurvivesANewInstance)
@@ -407,15 +479,12 @@ TEST(Cache, DiskTierSurvivesANewInstance)
         std::filesystem::temp_directory_path() / "ldx_query_cache_test";
     std::filesystem::remove_all(dir);
 
-    {
-        ResultCache cache(8, dir.string(), nullptr);
-        cache.store(keyN(1), verdictN(1));
-    }
-    ResultCache fresh(8, dir.string(), nullptr);
-    auto v = fresh.lookup(keyN(1));
+    oneShardCache(8, dir.string())->store(keyN(1), verdictN(1));
+    auto fresh = oneShardCache(8, dir.string());
+    auto v = fresh->lookup(keyN(1));
     ASSERT_TRUE(v.has_value());
     EXPECT_TRUE(*v == verdictN(1));
-    EXPECT_EQ(fresh.hits(), 1u);
+    EXPECT_EQ(fresh->hits(), 1u);
     std::filesystem::remove_all(dir);
 }
 

@@ -63,6 +63,15 @@ struct InjectionPoint
     const char *syscall; ///< where the tainted resource is first read
 };
 
+// Without this gtest prints the struct as raw bytes, pointers included,
+// and that text ends up in the discovered test name, which then
+// changes per build.
+void
+PrintTo(const InjectionPoint &p, std::ostream *os)
+{
+    *os << p.workload << '/' << p.syscall;
+}
+
 class DivergenceLocalization
     : public ::testing::TestWithParam<InjectionPoint>
 {

@@ -152,8 +152,11 @@ snapshotGroup(const ir::Module &module, const os::WorldSpec &world,
 // the full-run oracle's for every policy of every source.
 // ---------------------------------------------------------------
 
+// The workload name is held as a std::string, not a const char *:
+// gtest prints a pointer parameter with its address, and that text
+// ends up in the discovered test name, which then changes per build.
 class SnapshotWall
-    : public ::testing::TestWithParam<std::tuple<const char *, bool>>
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>>
 {};
 
 TEST_P(SnapshotWall, ForksMatchFullRuns)
@@ -195,13 +198,13 @@ TEST_P(SnapshotWall, ForksMatchFullRuns)
     }
 }
 
-std::vector<std::tuple<const char *, bool>>
+std::vector<std::tuple<std::string, bool>>
 wallParams()
 {
-    std::vector<std::tuple<const char *, bool>> params;
+    std::vector<std::tuple<std::string, bool>> params;
     for (const Workload &w : workloads::allWorkloads()) {
-        params.emplace_back(w.name.c_str(), false);
-        params.emplace_back(w.name.c_str(), true);
+        params.emplace_back(w.name, false);
+        params.emplace_back(w.name, true);
     }
     return params;
 }

@@ -421,7 +421,7 @@ TEST(ProfileReport, SchemaAndCounts)
     popt.topN = 3;
     std::string json = profileJson(res, reg.snapshot(), popt);
 
-    EXPECT_NE(json.find("\"schema\":\"ldx-campaign-profile-v1\""),
+    EXPECT_NE(json.find("\"schema\":\"ldx-campaign-profile-v2\""),
               std::string::npos);
     EXPECT_NE(json.find("\"total\":6"), std::string::npos);
     EXPECT_NE(json.find("\"completed\":6"), std::string::npos);
@@ -446,7 +446,7 @@ TEST(ProfileReport, EmptyCampaignIsWellFormed)
     CampaignResult res;
     obs::Registry reg;
     std::string json = profileJson(res, reg.snapshot());
-    EXPECT_NE(json.find("\"schema\":\"ldx-campaign-profile-v1\""),
+    EXPECT_NE(json.find("\"schema\":\"ldx-campaign-profile-v2\""),
               std::string::npos);
     EXPECT_NE(json.find("\"total\":0"), std::string::npos);
     // Zero-sample stats pin to 0, not NaN/garbage.

@@ -142,7 +142,7 @@
  *   --progress=force     render the progress line even when stderr
  *                        is redirected (CI logs, pipes)
  *   --profile-out FILE   write the post-run profiler report
- *                        (ldx-campaign-profile-v1 JSON) to FILE
+ *                        (ldx-campaign-profile-v2 JSON) to FILE
  *   --profile-top N      slowest queries in the profile (default 10)
  *   --site-profile-out FILE
  *                        run every query with the guest site profiler
