@@ -177,23 +177,29 @@ class PosCell
     /** Stack levels mirrored; deeper stacks force the locked path. */
     static constexpr std::size_t kMaxDepth = 48;
 
-    /** Publish @p p and @p stack (caller holds the channel mutex). */
+    /**
+     * Publish @p p and @p stack (caller holds the channel mutex).
+     * Ordering comes from the payload accesses themselves, not from
+     * standalone fences (which ThreadSanitizer does not model): each
+     * payload store is a release, so a reader whose acquire load sees
+     * any new payload word also sees the odd sequence stored before
+     * it, and its closing sequence check fails.
+     */
     void
     publish(const Position &p, const std::vector<std::int64_t> &stack)
     {
         std::uint64_t s = seq_.load(std::memory_order_relaxed);
         seq_.store(s + 1, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_release);
         kind_.store(static_cast<std::uint8_t>(p.kind),
-                    std::memory_order_relaxed);
-        cnt_.store(p.cnt, std::memory_order_relaxed);
-        site_.store(p.site, std::memory_order_relaxed);
-        iter_.store(p.iter, std::memory_order_relaxed);
+                    std::memory_order_release);
+        cnt_.store(p.cnt, std::memory_order_release);
+        site_.store(p.site, std::memory_order_release);
+        iter_.store(p.iter, std::memory_order_release);
         std::size_t depth = std::min(stack.size(), kMaxDepth);
         depth_.store(static_cast<std::uint32_t>(stack.size()),
-                     std::memory_order_relaxed);
+                     std::memory_order_release);
         for (std::size_t i = 0; i < depth; ++i)
-            stack_[i].store(stack[i], std::memory_order_relaxed);
+            stack_[i].store(stack[i], std::memory_order_release);
         seq_.store(s + 2, std::memory_order_release);
     }
 
@@ -201,7 +207,9 @@ class PosCell
      * Read a consistent snapshot into @p p / @p stack without any
      * lock; returns the (even) sequence it observed. @p truncated is
      * set when the published stack exceeded kMaxDepth, in which case
-     * the caller must fall back to the locked path.
+     * the caller must fall back to the locked path. The payload loads
+     * are acquires, so the closing sequence load cannot move above
+     * them.
      */
     std::uint64_t
     read(Position &p, std::vector<std::int64_t> &stack,
@@ -212,19 +220,18 @@ class PosCell
             if (s1 & 1)
                 continue;
             p.kind = static_cast<PosKind>(
-                kind_.load(std::memory_order_relaxed));
-            p.cnt = cnt_.load(std::memory_order_relaxed);
-            p.site = site_.load(std::memory_order_relaxed);
-            p.iter = iter_.load(std::memory_order_relaxed);
+                kind_.load(std::memory_order_acquire));
+            p.cnt = cnt_.load(std::memory_order_acquire);
+            p.site = site_.load(std::memory_order_acquire);
+            p.iter = iter_.load(std::memory_order_acquire);
             std::uint32_t depth =
-                depth_.load(std::memory_order_relaxed);
+                depth_.load(std::memory_order_acquire);
             truncated = depth > kMaxDepth;
             std::size_t n = std::min<std::size_t>(depth, kMaxDepth);
             stack.clear();
             for (std::size_t i = 0; i < n; ++i)
                 stack.push_back(
-                    stack_[i].load(std::memory_order_relaxed));
-            std::atomic_thread_fence(std::memory_order_acquire);
+                    stack_[i].load(std::memory_order_acquire));
             if (seq_.load(std::memory_order_relaxed) == s1)
                 return s1;
         }

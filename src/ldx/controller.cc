@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include <algorithm>
+#include <limits>
 
 #include "os/sysno.h"
 #include "support/diag.h"
@@ -278,6 +279,103 @@ Controller::fastPollBlocked(PollSite where, int tid, std::int64_t cnt,
     return true;
 }
 
+std::uint64_t
+Controller::idleRoundsLeft(bool fresh, bool polled)
+{
+    idleNext_.clear();
+    for (const auto &[tid, w] : waits_) {
+        IdleWait m;
+        m.tid = tid;
+        m.gate = w.gate;
+        m.expired = w.expired;
+        m.blockRecorded = w.blockRecorded;
+        m.gateSysNo = w.gateSysNo;
+        m.gateCnt = w.gateCnt;
+        m.gateSite = w.gateSite;
+        m.gateIter = w.gateIter;
+        m.gateTheirsCnt = w.gateTheirsCnt;
+        m.gateLockId = w.gateLockId;
+        m.gateState = w.gateState;
+        m.gateTaint = w.gateTaint;
+        m.gateLockVer = w.gateLockVer;
+        m.gatePeerSeq = w.gatePeerSeq;
+        m.peerProgress = w.peerProgressSnapshot;
+        m.ownSeq = channel(tid).posCell[self()].seq();
+        m.polls = w.polls;
+        if (w.gate == WaitState::Gate::Lock) {
+            auto it = lockPolls_.find({tid, w.gateLockId});
+            m.lockPolls = it == lockPolls_.end() ? 0 : it->second;
+        }
+        idleNext_.push_back(m);
+    }
+    idleMark_.swap(idleNext_); // idleNext_ now holds the previous mark
+    if (fresh || idleMark_.size() != idleNext_.size() ||
+        chan_.abort.load(std::memory_order_acquire))
+        return 0;
+
+    std::uint64_t left = std::numeric_limits<std::uint64_t>::max();
+    for (std::size_t i = 0; i < idleMark_.size(); ++i) {
+        const IdleWait &now = idleMark_[i];
+        IdleWait want = idleNext_[i];
+        if (now.expired)
+            return 0;
+        // A polled side re-polled every gated wait once, through the
+        // same budget the next round would charge.
+        if (polled) {
+            switch (want.gate) {
+              case WaitState::Gate::Input:
+              case WaitState::Gate::SinkWait:
+              case WaitState::Gate::Barrier:
+                ++want.polls;
+                if (now.polls > opts_.stallTimeout)
+                    return 0;
+                left = std::min(left, opts_.stallTimeout - now.polls + 1);
+                break;
+              case WaitState::Gate::Lock:
+                ++want.lockPolls;
+                if (now.lockPolls > opts_.lockPollTimeout)
+                    return 0;
+                left = std::min(left,
+                                opts_.lockPollTimeout - now.lockPolls + 1);
+                break;
+              default:
+                break;
+            }
+        }
+        if (!(want == now))
+            return 0;
+    }
+    return left;
+}
+
+void
+Controller::skipIdleRounds(std::uint64_t k, bool polled)
+{
+    if (!polled || k == 0)
+        return;
+    std::uint64_t watched = 0;
+    std::uint64_t blocked = 0;
+    for (auto &[tid, w] : waits_) {
+        switch (w.gate) {
+          case WaitState::Gate::None:
+            break;
+          case WaitState::Gate::SinkBehind:
+            ++blocked;
+            break;
+          case WaitState::Gate::Lock:
+            lockPolls_[{tid, w.gateLockId}] += k;
+            ++blocked;
+            break;
+          default:
+            w.polls += k;
+            ++watched;
+            ++blocked;
+            break;
+        }
+    }
+    chan_.watchdogPolls->inc(k * watched);
+    chan_.blockedPolls->inc(k * blocked);
+}
 
 void
 Controller::trace(TraceEvent::Kind kind, const vm::SyscallRequest &req)

@@ -141,6 +141,33 @@ class Controller : public vm::SyscallPort
     void onThreadDone(int tid, vm::Machine &vm) override;
     void onFinished(vm::Machine &vm) override;
 
+    /**
+     * Lockstep idle fast-forward, remaining-budget query. Called by
+     * the driver after a round in which neither side retired an
+     * instruction. Marks every live wait — its gate, its poll budget,
+     * and the sequence of this side's own published position for the
+     * waiting thread (every locked re-evaluation republishes it, so
+     * an unchanged sequence proves each poll since the last mark was
+     * answered by the lock-free gate) — and compares the mark with
+     * the previous call's. @p polled says whether this side's machine
+     * was stepped in the round; if so, every gated wait was polled
+     * exactly once. Returns 0 when @p fresh (only mark) or when the
+     * round changed anything but the poll budgets by exactly one poll
+     * each; otherwise the number of further such rounds up to and
+     * including the one in which the first budget expires, or
+     * UINT64_MAX when no wait has a budget (only SinkBehind waits).
+     */
+    std::uint64_t idleRoundsLeft(bool fresh, bool polled);
+
+    /**
+     * Book @p k further idle rounds at once: exactly the poll budgets
+     * and the watchdog.polls / chan.blocked_polls tallies that @p k
+     * more rounds of lock-free re-polls would leave. Valid only right
+     * after idleRoundsLeft() returned more than @p k for the same
+     * @p polled.
+     */
+    void skipIdleRounds(std::uint64_t k, bool polled);
+
   private:
     int self() const { return static_cast<int>(opts_.side); }
     int peer() const { return static_cast<int>(peerOf(opts_.side)); }
@@ -257,6 +284,33 @@ class Controller : public vm::SyscallPort
     // Fast-poll scratch (avoids per-poll allocation).
     Position peerPosScratch_;
     std::vector<std::int64_t> peerStackScratch_;
+
+    /** One live wait as idleRoundsLeft() marks it. */
+    struct IdleWait
+    {
+        int tid = 0;
+        WaitState::Gate gate = WaitState::Gate::None;
+        bool expired = false;
+        bool blockRecorded = false;
+        std::int64_t gateSysNo = 0;
+        std::int64_t gateCnt = 0;
+        int gateSite = 0;
+        std::int64_t gateIter = 0;
+        std::int64_t gateTheirsCnt = 0;
+        std::int64_t gateLockId = 0;
+        std::uint64_t gateState = 0;
+        std::uint64_t gateTaint = 0;
+        std::uint64_t gateLockVer = 0;
+        std::uint64_t gatePeerSeq = 0;
+        std::uint64_t peerProgress = 0;
+        std::uint64_t ownSeq = 0;
+        std::uint64_t polls = 0;     ///< WaitState::polls
+        std::uint64_t lockPolls = 0; ///< lockPolls_ entry (Lock gate)
+
+        bool operator==(const IdleWait &) const = default;
+    };
+    /** The previous idle mark, and the one being taken. */
+    std::vector<IdleWait> idleMark_, idleNext_;
 
   public:
     /**

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <limits>
+#include <mutex>
 #include <thread>
 
 #include "instrument/instrument.h"
@@ -283,6 +285,8 @@ DualRun::drive()
         t0_ = std::chrono::steady_clock::now();
         driverYields_ = &registry_->counter("driver.yields");
         driverIdle_ = &registry_->counter("driver.idle_rounds");
+        driverIdleSkipped_ =
+            &registry_->counter("driver.idle_rounds_skipped");
         driverBackoff_ = &registry_->counter("driver.backoff_ns");
         timer_->begin("dual-run");
         if (needStart_) {
@@ -309,7 +313,17 @@ DualRun::driveLockstep()
         cfg_.lockstepQuantum
             ? cfg_.lockstepQuantum
             : std::numeric_limits<std::uint64_t>::max();
+    auto check_cap = [this] {
+        if (secondsSince(t0_) > cfg_.wallClockCap) {
+            deadlocked_ = true;
+            chan_->abort.store(true, std::memory_order_release);
+        }
+    };
     std::uint64_t idle_rounds = 0;
+    // Idle fast-forward state: both schedulers' marks after the last
+    // idle round, and whether the controllers marked that round too.
+    vm::Machine::SchedMark sched[2];
+    bool marked = false;
     while (!(master_->settled() && slave_->settled())) {
         bool progressed = false;
         for (int side = 0; side < 2; ++side) {
@@ -326,14 +340,50 @@ DualRun::driveLockstep()
         }
         if (progressed) {
             idle_rounds = 0;
-        } else {
-            driverIdle_->inc();
-            if (++idle_rounds % 8192 == 0 &&
-                secondsSince(t0_) > cfg_.wallClockCap) {
-                deadlocked_ = true;
-                chan_->abort.store(true, std::memory_order_release);
-            }
+            continue;
         }
+        driverIdle_->inc();
+        if (++idle_rounds % 8192 == 0)
+            check_cap();
+
+        // A round in which neither side moved changed nothing but poll
+        // counts. If the next one provably repeats it — both
+        // schedulers back where they were, every wait behind the same
+        // gate, each budget charged exactly one poll — then so does
+        // every round until the first budget expires: book those
+        // rounds in one step and run the expiring round for real.
+        const vm::Machine::SchedMark now[2] = {master_->schedMark(),
+                                               slave_->schedMark()};
+        const bool fresh = idle_rounds == 1;
+        const bool same =
+            !fresh && now[0] == sched[0] && now[1] == sched[1];
+        sched[0] = now[0];
+        sched[1] = now[1];
+        if (!fresh && !same) {
+            marked = false; // not frozen (e.g. a jittered slice)
+            continue;
+        }
+        const bool compare = marked && same;
+        const bool polled[2] = {!now[0].settled, !now[1].settled};
+        std::uint64_t left = std::min(
+            masterCtl_->idleRoundsLeft(!compare, polled[0]),
+            slaveCtl_->idleRoundsLeft(!compare, polled[1]));
+        marked = true;
+        if (left == 0 ||
+            left == std::numeric_limits<std::uint64_t>::max())
+            continue; // not frozen, or no budget to run out
+        const std::uint64_t k = left - 1;
+        if (k == 0)
+            continue;
+        master_->skipIdleRounds(k);
+        slave_->skipIdleRounds(k);
+        masterCtl_->skipIdleRounds(k, polled[0]);
+        slaveCtl_->skipIdleRounds(k, polled[1]);
+        driverIdle_->inc(k);
+        driverIdleSkipped_->inc(k);
+        idle_rounds += k;
+        marked = false; // the controllers' marks predate the skip
+        check_cap();
     }
 }
 
@@ -345,8 +395,17 @@ DualRun::driveThreaded()
     obs::PhaseTimer &timer = *timer_;
     obs::Counter *driver_yields = driverYields_;
     obs::Counter *driver_backoff = driverBackoff_;
-    auto loop = [&chan, &timer, dc, driver_yields,
-                 driver_backoff](vm::Machine &m, int side) {
+    // Each side loop exits exactly when its machine settles (finished
+    // or paused) and then reports in; the main thread sleeps until
+    // both have, or until the wall-clock cap. A pair that settles
+    // after the cap counts as deadlocked either way.
+    std::mutex done_mu;
+    std::condition_variable done_cv;
+    int running = 2;
+    std::chrono::steady_clock::time_point settled_at;
+    auto loop = [&chan, &timer, dc, driver_yields, driver_backoff,
+                 &done_mu, &done_cv, &running,
+                 &settled_at](vm::Machine &m, int side) {
         std::int64_t start_us = obs::nowUs();
         auto side_t0 = std::chrono::steady_clock::now();
         std::uint64_t stalls = 0;
@@ -389,14 +448,30 @@ DualRun::driveThreaded()
         }
         timer.record(side == 0 ? "master-run" : "slave-run", 1,
                      start_us, secondsSince(side_t0));
+        {
+            std::lock_guard<std::mutex> lock(done_mu);
+            --running;
+            settled_at = std::chrono::steady_clock::now();
+        }
+        done_cv.notify_one();
     };
     std::thread mt(loop, std::ref(*master_), 0);
     std::thread st(loop, std::ref(*slave_), 1);
-    while (!(master_->settled() && slave_->settled())) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        if (secondsSince(t0_) > cfg_.wallClockCap) {
+    {
+        // Capped so the deadline stays representable.
+        const auto deadline =
+            t0_ + std::chrono::duration_cast<
+                      std::chrono::steady_clock::duration>(
+                      std::chrono::duration<double>(
+                          std::min(cfg_.wallClockCap, 1e9)));
+        auto both_done = [&running] { return running == 0; };
+        std::unique_lock<std::mutex> lock(done_mu);
+        if (!done_cv.wait_until(lock, deadline, both_done)) {
             deadlocked_ = true;
             chan_->abort.store(true, std::memory_order_release);
+            done_cv.wait(lock, both_done);
+        } else if (settled_at > deadline) {
+            deadlocked_ = true;
         }
     }
     mt.join();

@@ -182,6 +182,7 @@ class DualRun
     std::chrono::steady_clock::time_point t0_;
     obs::Counter *driverYields_ = nullptr;
     obs::Counter *driverIdle_ = nullptr;
+    obs::Counter *driverIdleSkipped_ = nullptr;
     obs::Counter *driverBackoff_ = nullptr;
 };
 

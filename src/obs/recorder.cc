@@ -59,7 +59,7 @@ FlightRecorder::record(int side, RecEvent evt)
     evt.tsUs = nowUs();
     evt.seq = seq;
     evt.side = static_cast<std::uint8_t>(side & 1);
-    ring.slots[seq % cap_] = evt;
+    ring.slots.get()[seq % cap_] = evt;
 }
 
 std::vector<RecEvent>
@@ -72,7 +72,7 @@ FlightRecorder::snapshot(int side) const
     std::vector<RecEvent> out;
     out.reserve(kept);
     for (std::uint64_t i = 0; i < kept; ++i)
-        out.push_back(ring.slots[(first + i) % cap_]);
+        out.push_back(ring.slots.get()[(first + i) % cap_]);
     return out;
 }
 

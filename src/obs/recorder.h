@@ -25,6 +25,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -93,11 +95,18 @@ class FlightRecorder
   public:
     static constexpr std::size_t kDefaultCapacity = 8192;
 
+    /**
+     * The ring slots are allocated but not initialised: most runs
+     * record a few dozen events, so a run pays for the slots it
+     * writes, not for zero-filling two full rings. Only slots below
+     * each head are ever read.
+     */
     explicit FlightRecorder(std::size_t capacity = kDefaultCapacity)
         : cap_(capacity ? capacity : 1)
     {
-        rings_[0].slots.resize(cap_);
-        rings_[1].slots.resize(cap_);
+        for (Ring &ring : rings_)
+            ring.slots.reset(static_cast<RecEvent *>(
+                ::operator new(cap_ * sizeof(RecEvent))));
     }
 
     std::size_t capacity() const { return cap_; }
@@ -137,8 +146,14 @@ class FlightRecorder
      */
     struct alignas(64) Ring
     {
+        struct Release
+        {
+            void operator()(RecEvent *p) const { ::operator delete(p); }
+        };
+
         std::atomic<std::uint64_t> head{0};
-        std::vector<RecEvent> slots;
+        /** cap_ slots of raw storage (RecEvent is implicit-lifetime). */
+        std::unique_ptr<RecEvent, Release> slots;
     };
 
     std::size_t cap_;

@@ -56,6 +56,9 @@ class Prng
     /** Reseed in place. */
     void reseed(std::uint64_t seed) { state_ = seed; }
 
+    /** Raw generator state (equal states draw equal sequences). */
+    std::uint64_t state() const { return state_; }
+
   private:
     std::uint64_t state_;
 };

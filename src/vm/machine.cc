@@ -1,6 +1,7 @@
 #include "vm/machine.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "support/diag.h"
 
@@ -444,6 +445,49 @@ Machine::stepMany(std::uint64_t budget, std::uint64_t &retired)
         }
     }
     return StepStatus::Progress;
+}
+
+void
+Machine::skipIdleRounds(std::uint64_t k)
+{
+    if (settled() || k == 0)
+        return;
+    if (useFastPath()) {
+        // Each blocked round opens one poll generation and stamps
+        // every context it polled with it.
+        for (std::uint64_t &gen : triedSeen_)
+            if (gen == triedGen_)
+                gen += k;
+        triedGen_ += k;
+    }
+    for (const auto &cp : contexts_) {
+        Context &ctx = *cp;
+        if (ctx.state != Context::State::BlockedPort)
+            continue;
+        const Frame &fr = ctx.frames.back();
+        const ir::Instr &instr =
+            module_.function(fr.fn).block(fr.block).instrs()[
+                static_cast<std::size_t>(fr.ip)];
+        if (instr.op == ir::Opcode::Syscall && !ctx.portApproved) {
+            ctx.cntSamples += k;
+            // k single adds of an integer, bit for bit: integer-valued
+            // sums below 2^52 are exact, so one multiply-add is too.
+            double v = static_cast<double>(ctx.cnt);
+            if (std::fabs(ctx.cntSum) +
+                    static_cast<double>(k) * std::fabs(v) <
+                0x1p52) {
+                ctx.cntSum += static_cast<double>(k) * v;
+            } else {
+                for (std::uint64_t i = 0; i < k; ++i)
+                    ctx.cntSum += v;
+            }
+        }
+        if (prof_)
+            prof_->stallPolls[static_cast<std::size_t>(fr.fn)]
+                             [decoded_->function(fr.fn).blockStart(
+                                  fr.block) +
+                              static_cast<std::uint32_t>(fr.ip)] += k;
+    }
 }
 
 StepStatus

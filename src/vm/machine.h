@@ -346,6 +346,40 @@ class Machine
                pausePending_.load(std::memory_order_acquire);
     }
 
+    /**
+     * Scheduler position, for the lockstep driver's idle-round
+     * fast-forward. Marks taken before and after a stepMany() call
+     * that retired nothing are equal exactly when the round left the
+     * scheduler where it found it, so the next such round polls the
+     * same contexts in the same order. The poll generation is left
+     * out: every blocked round advances it by one.
+     */
+    struct SchedMark
+    {
+        int curCtx = -1;
+        int sliceLeft = 0;
+        std::uint64_t prng = 0;
+        bool settled = false;
+
+        bool operator==(const SchedMark &) const = default;
+    };
+
+    SchedMark
+    schedMark() const
+    {
+        return {curCtx_, sliceLeft_, schedPrng_.state(), settled()};
+    }
+
+    /**
+     * Apply @p k more blocked rounds at once: the state @p k further
+     * stepMany() calls would leave when every pollable context is
+     * parked at the port and each poll answers Blocked — the poll
+     * generation, the counter sample each syscall re-issue takes, and
+     * each site's stall-poll count. A settled machine is not stepped,
+     * so it is left as it is.
+     */
+    void skipIdleRounds(std::uint64_t k);
+
     std::int64_t exitCode() const { return exitCode_; }
     const std::optional<TrapInfo> &trap() const { return trap_; }
 
