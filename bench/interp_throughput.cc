@@ -179,8 +179,8 @@ main()
     TextTable table({"Program", "Minstr", "legacy Mi/s", "fast Mi/s",
                      "speedup", "dual-lk x", "dual-thr x", "rec ovh"});
     TextTable dispatch_table({"Program", "switch Mi/s", "threaded Mi/s",
-                              "fused Mi/s", "single x", "dual-sw Mi/s",
-                              "dual-fu Mi/s", "dual x"});
+                              "single x", "dual-sw Mi/s",
+                              "dual-thr Mi/s", "dual x"});
     RunningStats speedups, recorder_overheads, profiler_overheads;
     RunningStats dispatch_speedups, dual_dispatch_speedups;
     std::string rows_json;
@@ -239,11 +239,8 @@ main()
             runSingleMode(*w, scale, vm::DispatchMode::Switch);
         Sample m_threaded =
             runSingleMode(*w, scale, vm::DispatchMode::Threaded);
-        Sample m_fused =
-            runSingleMode(*w, scale, vm::DispatchMode::Fused);
         if (m_switch.instructions != fast.instructions ||
-            m_threaded.instructions != fast.instructions ||
-            m_fused.instructions != fast.instructions) {
+            m_threaded.instructions != fast.instructions) {
             std::cerr << "[bench] MISMATCH " << name
                       << ": dispatch modes retired different "
                          "instruction counts\n";
@@ -253,33 +250,28 @@ main()
             runDualMode(*w, scale, vm::DispatchMode::Switch);
         Sample dm_threaded =
             runDualMode(*w, scale, vm::DispatchMode::Threaded);
-        Sample dm_fused =
-            runDualMode(*w, scale, vm::DispatchMode::Fused);
-        if (dm_switch.instructions != dm_fused.instructions ||
-            dm_threaded.instructions != dm_fused.instructions) {
+        if (dm_switch.instructions != dm_threaded.instructions) {
             std::cerr << "[bench] MISMATCH " << name
                       << ": dual dispatch modes retired different "
                          "instruction counts\n";
             return 1;
         }
         double mode_speedup =
-            m_fused.minstrPerSec() / m_switch.minstrPerSec();
+            m_threaded.minstrPerSec() / m_switch.minstrPerSec();
         double dual_mode_speedup =
-            dm_fused.minstrPerSec() / dm_switch.minstrPerSec();
+            dm_threaded.minstrPerSec() / dm_switch.minstrPerSec();
         dispatch_speedups.add(mode_speedup);
         dual_dispatch_speedups.add(dual_mode_speedup);
         dispatch_table.addRow(
             {name, formatDouble(m_switch.minstrPerSec(), 1),
              formatDouble(m_threaded.minstrPerSec(), 1),
-             formatDouble(m_fused.minstrPerSec(), 1),
              formatDouble(mode_speedup, 2) + "x",
              formatDouble(dm_switch.minstrPerSec(), 1),
-             formatDouble(dm_fused.minstrPerSec(), 1),
+             formatDouble(dm_threaded.minstrPerSec(), 1),
              formatDouble(dual_mode_speedup, 2) + "x"});
 
-        // Opcode-pair frequencies feed the superinstruction set
-        // (docs/PERFORMANCE.md); the default scale keeps the slow
-        // legacy observation pass cheap.
+        // Opcode-pair frequencies (docs/PERFORMANCE.md); the default
+        // scale keeps the slow legacy observation pass cheap.
         profilePairs(*w, w->defaultScale, pair_table);
 
         double speedup = fast.minstrPerSec() / legacy.minstrPerSec();
@@ -326,11 +318,9 @@ main()
         rows_json += ",\"dual_threaded_fast\":" + sampleJson(dt_fast);
         rows_json += ",\"single_switch\":" + sampleJson(m_switch);
         rows_json += ",\"single_threaded\":" + sampleJson(m_threaded);
-        rows_json += ",\"single_fused\":" + sampleJson(m_fused);
         rows_json += ",\"dual_lockstep_switch\":" + sampleJson(dm_switch);
         rows_json +=
             ",\"dual_lockstep_threaded\":" + sampleJson(dm_threaded);
-        rows_json += ",\"dual_lockstep_fused\":" + sampleJson(dm_fused);
         rows_json +=
             ",\"dispatch_speedup\":" + obs::jsonNumber(mode_speedup);
         rows_json += ",\"dual_dispatch_speedup\":" +
@@ -355,20 +345,18 @@ main()
               << formatDouble(profiler_overheads.geomean(), 3)
               << "x\n";
 
-    std::cout << "\n== Dispatch modes (switch vs threaded vs fused, "
+    std::cout << "\n== Dispatch modes (switch vs threaded, "
               << (vm::hasThreadedDispatch() ? "computed goto available"
                                             : "SWITCH-ONLY BUILD")
               << ") ==\n\n";
     dispatch_table.print(std::cout);
-    std::cout << "\nGeomean threaded+fused vs switch: single-VM "
+    std::cout << "\nGeomean threaded vs switch: single-VM "
               << formatDouble(dispatch_speedups.geomean(), 2)
               << "x, lockstep dual "
               << formatDouble(dual_dispatch_speedups.geomean(), 2)
               << "x\n";
 
-    // The dynamic pair profile, most frequent first; pairs the
-    // predecoder fuses are flagged so the curated set can be checked
-    // against fresh data run over run.
+    // The dynamic pair profile, most frequent first.
     struct PairCount
     {
         ir::Opcode a, b;
@@ -395,7 +383,6 @@ main()
     std::string pairs_json;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
         const PairCount &p = pairs[i];
-        bool fused = vm::fusedXop(p.a, p.b) != 0;
         if (i < 20) {
             std::cout << "  " << ir::opcodeName(p.a) << " -> "
                       << ir::opcodeName(p.b) << ": " << p.count << " ("
@@ -404,7 +391,7 @@ main()
                                           static_cast<double>(
                                               pair_total),
                                       1)
-                      << "%)" << (fused ? "  [fused]" : "") << "\n";
+                      << "%)\n";
         }
         if (i < 32) {
             if (!pairs_json.empty())
@@ -414,8 +401,6 @@ main()
             pairs_json += ",\"b\":";
             pairs_json += obs::jsonString(ir::opcodeName(p.b));
             pairs_json += ",\"count\":" + std::to_string(p.count);
-            pairs_json +=
-                std::string(",\"fused\":") + (fused ? "true" : "false");
             pairs_json += '}';
         }
     }

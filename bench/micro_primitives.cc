@@ -55,7 +55,7 @@ BENCHMARK(BM_InstrumentedRun);
 
 /**
  * Per-op dispatch cost of the fast path, one run per DispatchMode
- * (arg 0 = switch, 1 = threaded, 2 = fused). items_per_second is
+ * (arg 0 = switch, 1 = threaded). items_per_second is
  * retired instructions per second, so 1/items_per_second is the
  * amortized cost of dispatching one op under that mode.
  */
@@ -78,7 +78,7 @@ BM_DispatchPerOp(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(instrs));
     state.SetLabel(vm::dispatchModeName(mode));
 }
-BENCHMARK(BM_DispatchPerOp)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_DispatchPerOp)->Arg(0)->Arg(1);
 
 void
 BM_DualLockstep(benchmark::State &state)

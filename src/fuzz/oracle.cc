@@ -8,7 +8,6 @@
 #include "ldx/snapshot.h"
 #include "os/kernel.h"
 #include "support/diag.h"
-#include "vm/image.h"
 
 namespace ldx::fuzz {
 
@@ -128,23 +127,7 @@ Oracle::runSource(std::uint64_t seed, const std::string &source) const
 
     std::unique_ptr<ir::Module> module;
     try {
-        std::uint64_t key = 0;
-        if (!opt_.imageCacheDir.empty()) {
-            key = vm::imageKey(source, false);
-            if (auto img = vm::probeImageCache(opt_.imageCacheDir, key);
-                img && !img->instrumented) {
-                // The instrumentation pass below rewrites the module,
-                // so the image's predecoded streams cannot be reused.
-                img->predecoded.reset();
-                module = std::move(img->module);
-            }
-        }
-        if (!module) {
-            module = lang::compileSource(source);
-            if (!opt_.imageCacheDir.empty())
-                vm::storeImageCache(opt_.imageCacheDir, key, *module,
-                                    false);
-        }
+        module = lang::compileSource(source);
     } catch (const FatalError &) {
         return rep; // compiled stays false; shrinker rejects
     }

@@ -110,17 +110,6 @@ struct OracleOptions
      * identically to the same policy run in full.
      */
     bool checkSnapshot = true;
-
-    /**
-     * When non-empty, the per-seed compile probes this bytecode-image
-     * cache (vm/image.h) before running the front end, so sweeping
-     * the same seed range twice — or replaying the shrinker's
-     * already-seen candidates — skips lex/parse/sema/codegen. Only
-     * the uninstrumented module is cached: the oracle instruments in
-     * place, which invalidates any predecoded streams, so those are
-     * dropped on a hit and every cell re-predecodes as usual.
-     */
-    std::string imageCacheDir;
 };
 
 /** One invariant violation. */

@@ -49,8 +49,8 @@ runCampaign(const ir::Module &module, const os::WorldSpec &world,
     // Predecode the module once and share the streams across the
     // baseline run and every query VM (master and slave alike), so a
     // campaign of N queries does not flatten the program 2N+1 times.
-    // A caller-provided predecode (e.g. one deserialized from a
-    // bytecode image) is reused as-is.
+    // A caller-provided predecode (e.g. the one `ldx campaign
+    // --site-profile-out` shares with its heat map) is reused as-is.
     vm::MachineConfig vm_config = cfg.vmConfig;
     if (vm_config.predecode && !vm_config.predecoded) {
         timer.begin("campaign.predecode");

@@ -73,7 +73,7 @@ struct ServeConfig
     std::uint64_t drainTimeoutMs = 30'000;
 
     /** Interpreter dispatch for every tenant VM. */
-    vm::DispatchMode dispatch = vm::DispatchMode::Fused;
+    vm::DispatchMode dispatch = vm::DispatchMode::Threaded;
 
     /** Server version string echoed in the hello frame. */
     std::string version;

@@ -49,7 +49,6 @@ dispatchModeName(DispatchMode mode)
     switch (mode) {
       case DispatchMode::Switch: return "switch";
       case DispatchMode::Threaded: return "threaded";
-      case DispatchMode::Fused: return "fused";
     }
     return "?";
 }
@@ -61,8 +60,6 @@ parseDispatchMode(const std::string &name, DispatchMode &out)
         out = DispatchMode::Switch;
     else if (name == "threaded")
         out = DispatchMode::Threaded;
-    else if (name == "fused")
-        out = DispatchMode::Fused;
     else
         return false;
     return true;
@@ -102,19 +99,8 @@ Machine::Machine(const ir::Module &module, os::Kernel &kernel,
             decoded_ = decodedOwned_.get();
         }
     }
-    switch (cfg.dispatch) {
-      case DispatchMode::Switch:
-        dispatch_ = ResolvedDispatch::Switch;
-        break;
-      case DispatchMode::Threaded:
-        dispatch_ = hasThreadedDispatch() ? ResolvedDispatch::Goto
-                                          : ResolvedDispatch::Switch;
-        break;
-      case DispatchMode::Fused:
-        dispatch_ = hasThreadedDispatch() ? ResolvedDispatch::GotoFused
-                                          : ResolvedDispatch::Switch;
-        break;
-    }
+    threaded_ =
+        cfg.dispatch == DispatchMode::Threaded && hasThreadedDispatch();
     if (cfg_.siteProfile) {
         // Site indices are decoded-stream offsets, so the whole
         // program must be decoded up front: counters shaped once,
@@ -388,33 +374,14 @@ Machine::stepMany(std::uint64_t budget, std::uint64_t &retired)
                     limit = static_cast<std::uint64_t>(sliceLeft_);
                 // One profiled-or-not branch per run batch; each
                 // instantiation compiles its counting in or out.
-                switch (dispatch_) {
-                  case ResolvedDispatch::Switch:
-                    got = prof_ ? fastRun<true>(ctx, limit)
-                                : fastRun<false>(ctx, limit);
-                    break;
 #if LDX_HAS_COMPUTED_GOTO
-                  case ResolvedDispatch::Goto:
-                    got = prof_
-                              ? fastRunThreaded<false, true>(ctx, limit)
-                              : fastRunThreaded<false, false>(ctx,
-                                                              limit);
-                    break;
-                  case ResolvedDispatch::GotoFused:
-                    got = prof_
-                              ? fastRunThreaded<true, true>(ctx, limit)
-                              : fastRunThreaded<true, false>(ctx,
-                                                             limit);
-                    break;
-#else
-                  default:
-                    // The ctor resolves Threaded/Fused to Switch when
-                    // computed goto is unavailable; unreachable.
+                if (threaded_)
+                    got = prof_ ? fastRunThreaded<true>(ctx, limit)
+                                : fastRunThreaded<false>(ctx, limit);
+                else
+#endif
                     got = prof_ ? fastRun<true>(ctx, limit)
                                 : fastRun<false>(ctx, limit);
-                    break;
-#endif
-                }
                 sliceLeft_ -= static_cast<int>(got);
             }
         } catch (const VmTrap &trap) {
@@ -1032,18 +999,14 @@ Machine::fastRun(Context &ctx, std::uint64_t limit)
 /**
  * One dispatch: stop at the limit, otherwise jump through the token
  * table. Slow opcodes map to the exit label, so the loop needs no
- * explicit isSlow() test. Fused tokens retire two instructions, so
- * they are only taken with at least two instructions of headroom;
- * with one left, the base opcode runs alone.
+ * explicit isSlow() test.
  */
 #define LDX_NEXT() \
     do { \
         if (k >= lim) \
             goto L_done; \
         d = &code[pc]; \
-        goto *tbl[Fused && lim - k >= 2 \
-                      ? d->xop \
-                      : static_cast<std::uint8_t>(d->op)]; \
+        goto *tbl[static_cast<std::size_t>(d->op)]; \
     } while (0)
 
 /** Ordinary label: body, retire one instruction, dispatch the next. */
@@ -1055,27 +1018,7 @@ Machine::fastRun(Context &ctx, std::uint64_t limit)
     ++k; \
     LDX_NEXT()
 
-/**
- * Fused label: both bodies back to back with a single dispatch. The
- * second instruction is refetched from pc, and each half retires
- * separately, so a trap in the second body leaves the first half
- * retired and pc at the fault site — indistinguishable from two
- * unfused dispatches.
- */
-#define LDX_FUSED_LABEL(pair, op1, op2) \
-    L_##pair: \
-    LDX_BODY_##op1; \
-    LDX_PROF_SITE(); \
-    ++opCounts_[static_cast<std::size_t>(ir::Opcode::op1)]; \
-    ++k; \
-    d = &code[pc]; \
-    LDX_BODY_##op2; \
-    LDX_PROF_SITE(); \
-    ++opCounts_[static_cast<std::size_t>(ir::Opcode::op2)]; \
-    ++k; \
-    LDX_NEXT()
-
-template <bool Fused, bool Profiled>
+template <bool Profiled>
 std::uint64_t
 Machine::fastRunThreaded(Context &ctx, std::uint64_t limit)
 {
@@ -1119,9 +1062,8 @@ Machine::fastRunThreaded(Context &ctx, std::uint64_t limit)
         fr.ip = code[pc].ip;
     };
 
-    // Token table indexed by DecodedInstr::xop. Base opcodes first —
-    // in ir::Opcode declaration order, asserted below — then the
-    // fused pairs in kXop* declaration order.
+    // Token table indexed by DecodedInstr::op, in ir::Opcode
+    // declaration order (asserted below).
     static_assert(static_cast<int>(ir::Opcode::Const) == 0);
     static_assert(static_cast<int>(ir::Opcode::Add) == 2);
     static_assert(static_cast<int>(ir::Opcode::Neg) == 12);
@@ -1131,8 +1073,8 @@ Machine::fastRunThreaded(Context &ctx, std::uint64_t limit)
     static_assert(static_cast<int>(ir::Opcode::Br) == 29);
     static_assert(static_cast<int>(ir::Opcode::CntAdd) == 32);
     static_assert(static_cast<int>(ir::Opcode::CntPop) == 35);
-    static_assert(kXopFusedBase == 36 && kXopCount == 49);
-    static const void *tbl[kXopCount] = {
+    static_assert(ir::kNumOpcodes == 36);
+    static const void *tbl[ir::kNumOpcodes] = {
         &&L_Const, &&L_Move,
         &&L_Add, &&L_Sub, &&L_Mul, &&L_Div, &&L_Rem,
         &&L_And, &&L_Or, &&L_Xor, &&L_Shl, &&L_Shr,
@@ -1148,10 +1090,6 @@ Machine::fastRunThreaded(Context &ctx, std::uint64_t limit)
         &&L_CntAdd,
         &&L_done /* SyncBarrier */, &&L_done /* CntPush */,
         &&L_done /* CntPop */,
-        &&L_CmpEqCondBr, &&L_CmpNeCondBr, &&L_CmpLtCondBr,
-        &&L_CmpLeCondBr, &&L_CmpGtCondBr, &&L_CmpGeCondBr,
-        &&L_CntAddBr, &&L_CntAddConst, &&L_CntAddLoad, &&L_CntAddMove,
-        &&L_LoadAdd, &&L_AddStore, &&L_ConstStore,
     };
 
     const DecodedInstr *d;
@@ -1188,20 +1126,6 @@ Machine::fastRunThreaded(Context &ctx, std::uint64_t limit)
         LDX_OP_LABEL(Br);
         LDX_OP_LABEL(CondBr);
 
-        LDX_FUSED_LABEL(CmpEqCondBr, CmpEq, CondBr);
-        LDX_FUSED_LABEL(CmpNeCondBr, CmpNe, CondBr);
-        LDX_FUSED_LABEL(CmpLtCondBr, CmpLt, CondBr);
-        LDX_FUSED_LABEL(CmpLeCondBr, CmpLe, CondBr);
-        LDX_FUSED_LABEL(CmpGtCondBr, CmpGt, CondBr);
-        LDX_FUSED_LABEL(CmpGeCondBr, CmpGe, CondBr);
-        LDX_FUSED_LABEL(CntAddBr, CntAdd, Br);
-        LDX_FUSED_LABEL(CntAddConst, CntAdd, Const);
-        LDX_FUSED_LABEL(CntAddLoad, CntAdd, Load);
-        LDX_FUSED_LABEL(CntAddMove, CntAdd, Move);
-        LDX_FUSED_LABEL(LoadAdd, Load, Add);
-        LDX_FUSED_LABEL(AddStore, Add, Store);
-        LDX_FUSED_LABEL(ConstStore, Const, Store);
-
     L_done:;
     } catch (const VmTrap &) {
         flush();
@@ -1213,7 +1137,6 @@ Machine::fastRunThreaded(Context &ctx, std::uint64_t limit)
 
 #undef LDX_NEXT
 #undef LDX_OP_LABEL
-#undef LDX_FUSED_LABEL
 #undef LDX_PROF_SITE
 #undef LDX_A
 #undef LDX_B

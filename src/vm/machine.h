@@ -53,8 +53,7 @@ namespace ldx::vm {
 enum class DispatchMode
 {
     Switch,   ///< portable switch loop (the seed fast path)
-    Threaded, ///< computed-goto token threading, run chaining
-    Fused,    ///< Threaded + superinstruction pairs (default)
+    Threaded, ///< computed-goto token threading, run chaining (default)
 };
 
 /** True when this build can run computed-goto dispatch. */
@@ -64,7 +63,7 @@ hasThreadedDispatch()
     return LDX_HAS_COMPUTED_GOTO != 0;
 }
 
-/** Stable mode name ("switch" | "threaded" | "fused"). */
+/** Stable mode name ("switch" | "threaded"). */
 const char *dispatchModeName(DispatchMode mode);
 
 /** Parse a --dispatch value; false on unknown names. */
@@ -156,17 +155,17 @@ struct MachineConfig
      */
     bool predecode = true;
     /**
-     * Fast-path dispatch strategy (`--dispatch`). Threaded/Fused
-     * degrade to Switch when the build lacks computed goto
+     * Fast-path dispatch strategy (`--dispatch`). Threaded degrades
+     * to Switch when the build lacks computed goto
      * (hasThreadedDispatch()); semantics never depend on the mode.
      */
-    DispatchMode dispatch = DispatchMode::Fused;
+    DispatchMode dispatch = DispatchMode::Threaded;
     /**
-     * Optional shared predecoded module (image loads, campaign
-     * reuse). Must be decodeAll()ed — the machine then never mutates
-     * it, so one instance can back many VMs, including the threaded
-     * driver's two sides. Null: the machine predecodes privately
-     * (lazily) when `predecode` is set.
+     * Optional shared predecoded module (engine and campaign reuse,
+     * profiler metadata). Must be decodeAll()ed — the machine then
+     * never mutates it, so one instance can back many VMs, including
+     * the threaded driver's two sides. Null: the machine predecodes
+     * privately (lazily) when `predecode` is set.
      */
     std::shared_ptr<PredecodedModule> predecoded;
     /**
@@ -174,8 +173,8 @@ struct MachineConfig
      * kNumOpcodes x kNumOpcodes row-major table and every retired
      * (previous, current) opcode pair per context increments one
      * cell. Forces the legacy per-step path so every instruction is
-     * observed; used by bench/interp_throughput to curate the
-     * superinstruction set.
+     * observed; used by bench/interp_throughput's dynamic pair
+     * profile.
      */
     std::uint64_t *pairProfile = nullptr;
     /**
@@ -430,12 +429,11 @@ class Machine
      * Token-threaded dispatcher: computed-goto dispatch that also
      * chains across branches, so one call retires up to @p limit
      * instructions without bouncing through stepMany at every block
-     * boundary. With Fused, marked pairs (DecodedInstr::xop) retire
-     * in a single dispatch. Retired state is bit-identical to
-     * fastRun. Only compiled when LDX_HAS_COMPUTED_GOTO.
+     * boundary. Retired state is bit-identical to fastRun. Only
+     * compiled when LDX_HAS_COMPUTED_GOTO.
      * @tparam Profiled compile per-site profile counting in/out.
      */
-    template <bool Fused, bool Profiled>
+    template <bool Profiled>
     std::uint64_t fastRunThreaded(Context &ctx, std::uint64_t limit);
 
     /** True when the predecoded dispatch loop may be used. */
@@ -496,14 +494,6 @@ class Machine
     void emitObsInstant(obs::RecKind kind, const char *name, int tid,
                         const std::string &detail = std::string());
 
-    /** cfg_.dispatch resolved against compiler support. */
-    enum class ResolvedDispatch
-    {
-        Switch,
-        Goto,
-        GotoFused,
-    };
-
     const ir::Module &module_;
     os::Kernel &kernel_;
     MachineConfig cfg_;
@@ -511,7 +501,8 @@ class Machine
     std::unique_ptr<PredecodedModule> decodedOwned_;
     std::shared_ptr<PredecodedModule> decodedShared_;
     PredecodedModule *decoded_ = nullptr;
-    ResolvedDispatch dispatch_ = ResolvedDispatch::Switch;
+    /** cfg_.dispatch == Threaded and the build has computed goto. */
+    bool threaded_ = false;
     obs::SiteCounters *prof_ = nullptr; ///< cfg_.siteProfile, shaped
     std::vector<std::uint64_t> globalAddrs_;
 

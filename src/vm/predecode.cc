@@ -5,6 +5,9 @@
 
 namespace ldx::vm {
 
+namespace {
+
+/** True for opcodes the fast loop defers to executeOne (kSlow). */
 bool
 isSlowOpcode(ir::Opcode op)
 {
@@ -20,15 +23,6 @@ isSlowOpcode(ir::Opcode op)
       default:
         return false;
     }
-}
-
-namespace {
-
-bool
-isTerminatorOp(ir::Opcode op)
-{
-    return op == ir::Opcode::Br || op == ir::Opcode::CondBr ||
-           op == ir::Opcode::Ret;
 }
 
 /** Classify @p operand into (flag, payload) form. */
@@ -47,38 +41,6 @@ encodeOperand(const ir::Operand &operand, std::uint8_t reg_flag,
 }
 
 } // namespace
-
-std::uint8_t
-fusedXop(ir::Opcode a, ir::Opcode b)
-{
-    if (b == ir::Opcode::CondBr) {
-        switch (a) {
-          case ir::Opcode::CmpEq: return kXopCmpEqCondBr;
-          case ir::Opcode::CmpNe: return kXopCmpNeCondBr;
-          case ir::Opcode::CmpLt: return kXopCmpLtCondBr;
-          case ir::Opcode::CmpLe: return kXopCmpLeCondBr;
-          case ir::Opcode::CmpGt: return kXopCmpGtCondBr;
-          case ir::Opcode::CmpGe: return kXopCmpGeCondBr;
-          default: return 0;
-        }
-    }
-    if (a == ir::Opcode::CntAdd) {
-        switch (b) {
-          case ir::Opcode::Br: return kXopCntAddBr;
-          case ir::Opcode::Const: return kXopCntAddConst;
-          case ir::Opcode::Load: return kXopCntAddLoad;
-          case ir::Opcode::Move: return kXopCntAddMove;
-          default: return 0;
-        }
-    }
-    if (a == ir::Opcode::Load && b == ir::Opcode::Add)
-        return kXopLoadAdd;
-    if (a == ir::Opcode::Add && b == ir::Opcode::Store)
-        return kXopAddStore;
-    if (a == ir::Opcode::Const && b == ir::Opcode::Store)
-        return kXopConstStore;
-    return 0;
-}
 
 DecodedFunction::DecodedFunction(const ir::Function &fn)
 {
@@ -103,8 +65,6 @@ DecodedFunction::DecodedFunction(const ir::Function &fn)
             d.src = &in;
             if (isSlowOpcode(in.op))
                 d.flags |= DecodedInstr::kSlow;
-            if (isTerminatorOp(in.op))
-                d.flags |= DecodedInstr::kTerm;
             encodeOperand(in.a, DecodedInstr::kAReg, d.flags, d.a);
             encodeOperand(in.b, DecodedInstr::kBReg, d.flags, d.b);
             switch (in.op) {
@@ -169,21 +129,6 @@ DecodedFunction::DecodedFunction(const ir::Function &fn)
         for (std::size_t i = pos; i < end; ++i)
             code_[i].runLen = static_cast<std::uint16_t>(end - i);
         pos = end;
-    }
-
-    // Superinstruction marking: xop defaults to the base opcode; an
-    // instruction with at least one fast same-run successor may carry
-    // a fused id instead. runLen >= 2 guarantees the successor is in
-    // the same block and never a branch target (branches only enter
-    // at block starts), so the pair always executes back to back.
-    for (std::size_t i = 0; i < code_.size(); ++i)
-        code_[i].xop = static_cast<std::uint8_t>(code_[i].op);
-    for (std::size_t i = 0; i + 1 < code_.size(); ++i) {
-        if (code_[i].runLen < 2)
-            continue;
-        std::uint8_t f = fusedXop(code_[i].op, code_[i + 1].op);
-        if (f)
-            code_[i].xop = f;
     }
 }
 

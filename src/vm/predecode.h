@@ -31,58 +31,17 @@
 
 namespace ldx::vm {
 
-/**
- * Execution opcodes: the base ir::Opcode values [0, kNumOpcodes) plus
- * fused superinstruction ids. A DecodedInstr whose xop is a fused id
- * retires itself AND its successor in one dispatch when the threaded
- * (computed-goto) interpreter runs it with at least two instructions
- * of budget left; every other path ignores xop and dispatches the
- * base opcode, so retired state is identical either way.
- *
- * The pair set is curated from the dynamic opcode-pair profile that
- * `bench/interp_throughput` dumps (docs/PERFORMANCE.md "Dispatch &
- * bytecode images"): compare-and-branch dominates every workload, the
- * CntAdd-led pairs are the instrumentation tax at block heads and
- * loop latches, and the memory pairs cover the hot array kernels.
- */
-enum : std::uint8_t
-{
-    kXopFusedBase = static_cast<std::uint8_t>(ir::kNumOpcodes),
-    kXopCmpEqCondBr = kXopFusedBase,
-    kXopCmpNeCondBr,
-    kXopCmpLtCondBr,
-    kXopCmpLeCondBr,
-    kXopCmpGtCondBr,
-    kXopCmpGeCondBr,
-    kXopCntAddBr,
-    kXopCntAddConst,
-    kXopCntAddLoad,
-    kXopCntAddMove,
-    kXopLoadAdd,
-    kXopAddStore,
-    kXopConstStore,
-    kXopCount, ///< dispatch table size
-};
-
-/** Fused execution opcode for the adjacent pair (a, b); 0 = none. */
-std::uint8_t fusedXop(ir::Opcode a, ir::Opcode b);
-
-/** True for opcodes the fast loop defers to executeOne (kSlow). */
-bool isSlowOpcode(ir::Opcode op);
-
 /** One pre-resolved instruction (fits in a cache line). */
 struct DecodedInstr
 {
     // Flag byte: dispatch class + operand classification.
     static constexpr std::uint8_t kSlow = 1 << 0; ///< needs executeOne
-    static constexpr std::uint8_t kTerm = 1 << 1; ///< ends its block
-    static constexpr std::uint8_t kAReg = 1 << 2; ///< a is a register
-    static constexpr std::uint8_t kBReg = 1 << 3; ///< b is a register
+    static constexpr std::uint8_t kAReg = 1 << 1; ///< a is a register
+    static constexpr std::uint8_t kBReg = 1 << 2; ///< b is a register
 
     ir::Opcode op = ir::Opcode::Const;
     std::uint8_t flags = 0;
     std::uint8_t size = 8;        ///< Load/Store width (1 or 8)
-    std::uint8_t xop = 0;         ///< execution opcode (op or fused id)
     std::int32_t dst = -1;
     std::int64_t a = 0;           ///< register index or immediate
     std::int64_t b = 0;           ///< register index or immediate
@@ -107,22 +66,8 @@ class DecodedFunction
   public:
     explicit DecodedFunction(const ir::Function &fn);
 
-    /**
-     * Adopt a stream deserialized from a bytecode image (vm/image.h).
-     * The parts must already be validated: the loader bounds-checks
-     * every field and the fusion marks before constructing this.
-     */
-    DecodedFunction(std::vector<DecodedInstr> code,
-                    std::vector<std::uint32_t> block_start,
-                    std::vector<RunHist> hists)
-        : code_(std::move(code)), blockStart_(std::move(block_start)),
-          hists_(std::move(hists))
-    {}
-
     const DecodedInstr *code() const { return code_.data(); }
     std::size_t numInstrs() const { return code_.size(); }
-    std::size_t numBlocks() const { return blockStart_.size(); }
-    std::size_t numHists() const { return hists_.size(); }
 
     /** Flat index of the first instruction of @p block. */
     std::uint32_t
@@ -146,9 +91,9 @@ class DecodedFunction
 /**
  * Lazily decoded view of a whole module.
  *
- * A module shared across machines (EngineConfig/campaign reuse, image
- * loads) must be fully decoded first — decodeAll() — after which
- * function() is a pure read and safe from concurrent VM threads.
+ * A module shared across machines (EngineConfig/campaign reuse) must
+ * be fully decoded first — decodeAll() — after which function() is a
+ * pure read and safe from concurrent VM threads.
  */
 class PredecodedModule
 {
@@ -171,13 +116,6 @@ class PredecodedModule
 
     /** True once every function slot is built. */
     bool fullyDecoded() const;
-
-    /** Install a stream deserialized from an image (vm/image.cc). */
-    void
-    adopt(int fn, std::unique_ptr<DecodedFunction> df)
-    {
-        fns_[static_cast<std::size_t>(fn)] = std::move(df);
-    }
 
     const ir::Module &module() const { return module_; }
     std::size_t numFunctions() const { return fns_.size(); }

@@ -1,12 +1,12 @@
 /**
  * @file
- * Dispatch-mode differential tests: switch, threaded (computed-goto),
- * and fused (threaded + superinstructions) are pure wall-clock knobs.
- * Every workload must retire bit-identical state — stats, exits,
- * traps, dual verdicts, and the flight recorder's event order — under
- * all three modes and at every stepMany batch size. On a build
- * without computed goto the threaded modes degrade to switch, so the
- * comparisons stay valid (they just compare switch to itself).
+ * Dispatch-mode differential tests: switch and threaded (computed
+ * goto) are pure wall-clock knobs. Every workload must retire
+ * bit-identical state — stats, exits, traps, dual verdicts, and the
+ * flight recorder's event order — under both modes and at every
+ * stepMany batch size. On a build without computed goto threaded
+ * degrades to switch, so the comparisons stay valid (they just
+ * compare switch to itself).
  */
 #include <gtest/gtest.h>
 
@@ -30,8 +30,7 @@ using core::EngineConfig;
 using workloads::Workload;
 
 constexpr vm::DispatchMode kModes[] = {vm::DispatchMode::Switch,
-                                       vm::DispatchMode::Threaded,
-                                       vm::DispatchMode::Fused};
+                                       vm::DispatchMode::Threaded};
 
 void
 expectSameStats(const vm::MachineStats &a, const vm::MachineStats &b,
@@ -79,7 +78,7 @@ class DispatchDifferential
     }
 };
 
-/** Native single-VM run: all three modes vs the switch reference. */
+/** Native single-VM run: both modes vs the switch reference. */
 TEST_P(DispatchDifferential, NativeRunIdenticalAcrossModes)
 {
     const Workload &w = workload();
@@ -240,7 +239,7 @@ TEST(DispatchBatchTest, FinalStateIndependentOfBatchAndMode)
 /**
  * Guest int64 arithmetic wraps (two's complement) on every path: the
  * slow step() evaluator (predecode off), the switch fast path, and the
- * threaded bodies that the fused pairs reuse. None of these overflows
+ * threaded bodies. None of these overflows
  * may be host undefined behaviour (the UBSan build checks that).
  */
 TEST(DispatchArithmeticTest, OverflowWrapsIdenticallyOnEveryPath)
@@ -339,7 +338,7 @@ TEST(DispatchBatchTest, RecorderEventOrderIndependentOfMode)
 
 /**
  * Campaign graphs must be byte-identical with and without a shared
- * predecoded module (the image-cache path injects one), and across
+ * predecoded module (`--site-profile-out` injects one), and across
  * dispatch modes.
  */
 TEST(DispatchCampaignTest, GraphByteIdenticalAcrossConfigs)
@@ -363,8 +362,8 @@ TEST(DispatchCampaignTest, GraphByteIdenticalAcrossConfigs)
     };
 
     std::string ref = run(vm::DispatchMode::Switch, false);
-    EXPECT_EQ(run(vm::DispatchMode::Fused, false), ref);
-    EXPECT_EQ(run(vm::DispatchMode::Fused, true), ref);
+    EXPECT_EQ(run(vm::DispatchMode::Switch, true), ref);
+    EXPECT_EQ(run(vm::DispatchMode::Threaded, false), ref);
     EXPECT_EQ(run(vm::DispatchMode::Threaded, true), ref);
 }
 

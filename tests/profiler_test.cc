@@ -150,7 +150,7 @@ TEST_P(ProfilerDeterminism, ArtifactsByteIdenticalAcrossConfigs)
 {
     const Workload &w = workload();
     Artifacts ref =
-        profileWorkload(w, false, vm::DispatchMode::Fused);
+        profileWorkload(w, false, vm::DispatchMode::Threaded);
     EXPECT_GT(ref.masterRetired, 0u);
 
     Artifacts sw = profileWorkload(w, false, vm::DispatchMode::Switch);
@@ -158,13 +158,8 @@ TEST_P(ProfilerDeterminism, ArtifactsByteIdenticalAcrossConfigs)
     EXPECT_EQ(ref.flame, sw.flame);
     EXPECT_EQ(ref.annotate, sw.annotate);
 
-    Artifacts thr_mode =
-        profileWorkload(w, false, vm::DispatchMode::Threaded);
-    EXPECT_EQ(ref.report, thr_mode.report);
-    EXPECT_EQ(ref.flame, thr_mode.flame);
-
     Artifacts thr_driver =
-        profileWorkload(w, true, vm::DispatchMode::Fused);
+        profileWorkload(w, true, vm::DispatchMode::Threaded);
     EXPECT_EQ(ref.report, thr_driver.report);
     EXPECT_EQ(ref.flame, thr_driver.flame);
     EXPECT_EQ(ref.annotate, thr_driver.annotate);
@@ -218,7 +213,7 @@ TEST_P(ProfilerDiff, AttackLocalizesToDiffSites)
 {
     const Workload *w = workloads::findWorkload(GetParam());
     ASSERT_NE(w, nullptr);
-    Artifacts a = profileWorkload(*w, false, vm::DispatchMode::Fused,
+    Artifacts a = profileWorkload(*w, false, vm::DispatchMode::Threaded,
                                   /*wholeValue=*/true);
 
     std::size_t diff = a.report.find("\"diff\":[");

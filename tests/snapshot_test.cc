@@ -284,11 +284,8 @@ TEST(SnapshotDispatch, ForksMatchAcrossDispatchModes)
     const ir::Module &module = workloads::workloadModule(*w, true);
     os::WorldSpec world = w->world(w->defaultScale);
 
-    std::vector<vm::DispatchMode> modes = {vm::DispatchMode::Fused,
-                                           vm::DispatchMode::Switch};
-    if (vm::hasThreadedDispatch())
-        modes.push_back(vm::DispatchMode::Threaded);
-    for (vm::DispatchMode mode : modes) {
+    for (vm::DispatchMode mode :
+         {vm::DispatchMode::Switch, vm::DispatchMode::Threaded}) {
         SCOPED_TRACE(vm::dispatchModeName(mode));
         core::EngineConfig base =
             baseConfig(*w, w->sources.front(), false);

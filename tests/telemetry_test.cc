@@ -625,7 +625,7 @@ TEST(ExporterStress, PrometheusRewriteIsAtomicUnderReader)
     ecfg.promPath = prom;
     ecfg.intervalMs = 1;
     ecfg.build.version = "test";
-    ecfg.build.dispatch = "fused";
+    ecfg.build.dispatch = "threaded";
     obs::Exporter exporter(reg, ecfg);
     ASSERT_TRUE(exporter.start());
 
@@ -657,7 +657,7 @@ TEST(ExporterStress, PrometheusRewriteIsAtomicUnderReader)
         // Complete head-to-tail: build info first, sentinel last.
         EXPECT_EQ(doc.rfind("# TYPE ldx_build_info gauge\n", 0), 0u);
         EXPECT_NE(doc.find("ldx_build_info{version=\"test\","
-                           "dispatch=\"fused\","),
+                           "dispatch=\"threaded\","),
                   std::string::npos);
         EXPECT_NE(doc.find("\nldx_zzz_sentinel "), std::string::npos);
         EXPECT_EQ(doc.back(), '\n');

@@ -27,11 +27,6 @@
  *                                     policy), and the aggregated
  *                                     causality graph is emitted as
  *                                     JSON/DOT (docs/CAMPAIGN.md)
- *   ldx compile <prog.mc> --image-cache-dir DIR
- *                                     compile (and instrument, unless
- *                                     --no-instrument) to an
- *                                     ldx-image-v1 bytecode image in
- *                                     the cache and print its path
  *
  * Exit codes (uniform across subcommands):
  *   0  clean — no causality, divergence, trap, or oracle violation
@@ -41,6 +36,7 @@
  *   3  internal error (engine invariant violation, failed queries)
  *
  * Options:
+ *   --help, -h           print the usage summary on stdout, exit 0
  *   --env K=V            environment variable (repeatable)
  *   --file PATH=DATA     virtual file contents (repeatable)
  *   --host-file PATH=F   virtual file loaded from host file F
@@ -69,15 +65,11 @@
  *   --no-flight-recorder disable the flight recorder (dual/bench)
  *   --explain-format F   text | jsonl | chrome (default text)
  *   --explain-out FILE   write the explain report to FILE  (explain)
- *   --no-instrument      skip the counter pass      (dump/compile)
- *   --dispatch M         interpreter dispatch: switch | threaded |
- *                        fused (default fused; verdicts and recorder
+ *   --no-instrument      skip the counter pass      (dump)
+ *   --dispatch M         interpreter dispatch: switch | threaded
+ *                        (default threaded; verdicts and recorder
  *                        order are identical across modes — see
  *                        docs/PERFORMANCE.md)
- *   --image-cache-dir DIR  probe/store ldx-image-v1 bytecode images
- *                        keyed by program content; warm starts skip
- *                        the whole front end (run/dual/campaign/
- *                        fuzz --replay FILE/compile)
  *
  * Profiler options (profile; --profile-sites also shapes the
  * campaign heat map):
@@ -208,7 +200,6 @@
 #include "support/diag.h"
 #include "support/strings.h"
 #include "taint/tracker.h"
-#include "vm/image.h"
 #include "vm/machine.h"
 #include "workloads/corpus/corpus.h"
 #include "workloads/workloads.h"
@@ -247,8 +238,7 @@ struct CliOptions
     std::size_t recorderCapacity = obs::FlightRecorder::kDefaultCapacity;
     std::string explainFormat = "text";
     std::string explainOut;
-    vm::DispatchMode dispatch = vm::DispatchMode::Fused;
-    std::string imageCacheDir;
+    vm::DispatchMode dispatch = vm::DispatchMode::Threaded;
 
     // campaign
     int jobs = 1;
@@ -297,24 +287,39 @@ struct CliOptions
     std::uint64_t fuzzInjectDropSnapshotPage = 0;
 };
 
+const char *const kUsage =
+    "usage: ldx <run|dual|taint|dump> <prog.mc> [options]\n"
+    "       ldx corpus | ldx bench <workload>\n"
+    "       ldx explain <workload|prog.mc> [options]\n"
+    "       ldx profile <workload|prog.mc> [options]\n"
+    "       ldx campaign <workload|corpus-name|prog.mc> [options]\n"
+    "       ldx fuzz [options]\n"
+    "       ldx serve --socket PATH [options]\n"
+    "       ldx submit <workload|corpus-name|prog.mc> "
+    "--socket PATH [options]\n"
+    "see the file header of tools/ldx_cli.cc for options\n";
+
 [[noreturn]] void
 usage(const std::string &error = "")
 {
     if (!error.empty())
         std::cerr << "error: " << error << "\n\n";
-    std::cerr <<
-        "usage: ldx <run|dual|taint|dump> <prog.mc> [options]\n"
-        "       ldx corpus | ldx bench <workload>\n"
-        "       ldx explain <workload|prog.mc> [options]\n"
-        "       ldx profile <workload|prog.mc> [options]\n"
-        "       ldx campaign <workload|corpus-name|prog.mc> [options]\n"
-        "       ldx compile <prog.mc> --image-cache-dir DIR\n"
-        "       ldx fuzz [options]\n"
-        "       ldx serve --socket PATH [options]\n"
-        "       ldx submit <workload|corpus-name|prog.mc> "
-        "--socket PATH [options]\n"
-        "see the file header of tools/ldx_cli.cc for options\n";
+    std::cerr << kUsage;
     std::exit(2);
+}
+
+/** `--help` / `-h`: the usage text on stdout, exit 0. */
+bool
+isHelpFlag(const std::string &arg)
+{
+    return arg == "--help" || arg == "-h";
+}
+
+[[noreturn]] void
+help()
+{
+    std::cout << kUsage;
+    std::exit(0);
 }
 
 /**
@@ -404,11 +409,13 @@ parseArgs(int argc, char **argv)
     if (argc < 2)
         usage();
     opt.command = argv[1];
+    if (isHelpFlag(opt.command) || (argc > 2 && isHelpFlag(argv[2])))
+        help();
     int i = 2;
     if (opt.command == "run" || opt.command == "dual" ||
         opt.command == "taint" || opt.command == "dump" ||
         opt.command == "bench" || opt.command == "explain" ||
-        opt.command == "campaign" || opt.command == "compile" ||
+        opt.command == "campaign" ||
         opt.command == "profile" || opt.command == "submit") {
         if (argc < 3)
             usage(opt.command + " needs an argument");
@@ -427,7 +434,9 @@ parseArgs(int argc, char **argv)
 
     while (i < argc) {
         std::string arg = argv[i++];
-        if (arg == "--env") {
+        if (isHelpFlag(arg)) {
+            help();
+        } else if (arg == "--env") {
             auto [k, v] = splitKv(next("--env"), "--env");
             opt.world.env[k] = v;
         } else if (arg == "--file") {
@@ -534,11 +543,7 @@ parseArgs(int argc, char **argv)
             std::string v = next("--dispatch");
             if (!vm::parseDispatchMode(v, opt.dispatch))
                 usage("unknown dispatch mode " + v +
-                      " (expected switch, threaded or fused)");
-        } else if (arg == "--image-cache-dir") {
-            opt.imageCacheDir = next("--image-cache-dir");
-            if (opt.imageCacheDir.empty())
-                usage("--image-cache-dir expects a directory");
+                      " (expected switch or threaded)");
         } else if (arg == "--seeds") {
             opt.fuzzSeeds = parseUint(next("--seeds"), "--seeds", 1);
         } else if (arg == "--seed-start") {
@@ -658,57 +663,17 @@ parseArgs(int argc, char **argv)
     return opt;
 }
 
-/**
- * A ready-to-run program: the module, plus (on a bytecode-image cache
- * hit) the deserialized predecoded streams, shared into every VM so
- * no machine re-predecodes. predecoded references module — keep the
- * struct together.
- */
-struct CompiledProgram
-{
-    std::unique_ptr<ir::Module> module;
-    std::shared_ptr<vm::PredecodedModule> predecoded;
-    bool fromImage = false;
-};
-
-/**
- * Compile opt.program, probing the --image-cache-dir first: a valid
- * cached image skips lex/parse/sema/codegen/predecode entirely (the
- * only phase recorded is "image.load"); a miss runs the front end and
- * repopulates the cache ("image.store").
- */
-CompiledProgram
+/** Compile opt.program, instrumenting it when @p instrumented. */
+std::unique_ptr<ir::Module>
 compileProgram(const CliOptions &opt, bool instrumented,
                obs::PhaseTimer *timer = nullptr)
 {
-    CompiledProgram prog;
-    std::string source = readHostFile(opt.program);
-    std::uint64_t key = 0;
-    if (!opt.imageCacheDir.empty()) {
-        key = vm::imageKey(source, instrumented);
-        std::optional<vm::LoadedImage> img;
-        auto probe = [&] {
-            img = vm::probeImageCache(opt.imageCacheDir, key);
-        };
-        if (timer)
-            timer->time("image.load", probe);
-        else
-            probe();
-        if (img && img->instrumented == instrumented) {
-            std::cerr << "[ldx] bytecode image hit ("
-                      << vm::imageCachePath(opt.imageCacheDir, key)
-                      << "), front end skipped\n";
-            prog.module = std::move(img->module);
-            prog.predecoded = std::move(img->predecoded);
-            prog.fromImage = true;
-            return prog;
-        }
-    }
-    prog.module = lang::compileSource(source, timer);
+    std::unique_ptr<ir::Module> module =
+        lang::compileSource(readHostFile(opt.program), timer);
     if (instrumented) {
         if (timer)
             timer->begin("instrument");
-        instrument::CounterInstrumenter pass(*prog.module);
+        instrument::CounterInstrumenter pass(*module);
         auto stats = pass.run();
         if (timer)
             timer->end();
@@ -717,19 +682,7 @@ compileProgram(const CliOptions &opt, bool instrumented,
                   << " syscall sites, " << stats.loops
                   << " loops, max cnt " << stats.maxStaticCnt << ")\n";
     }
-    if (!opt.imageCacheDir.empty()) {
-        auto store = [&] {
-            if (!vm::storeImageCache(opt.imageCacheDir, key,
-                                     *prog.module, instrumented))
-                std::cerr << "[ldx] warning: cannot write image under "
-                          << opt.imageCacheDir << "\n";
-        };
-        if (timer)
-            timer->time("image.store", store);
-        else
-            store();
-    }
-    return prog;
+    return module;
 }
 
 /**
@@ -775,12 +728,11 @@ printMetricsText(std::ostream &os, const core::DualResult &res,
 int
 cmdRun(const CliOptions &opt)
 {
-    CompiledProgram prog = compileProgram(opt, false);
+    std::unique_ptr<ir::Module> module = compileProgram(opt, false);
     os::Kernel kernel(opt.world);
     vm::MachineConfig mcfg;
     mcfg.dispatch = opt.dispatch;
-    mcfg.predecoded = prog.predecoded;
-    vm::Machine machine(*prog.module, kernel, mcfg);
+    vm::Machine machine(*module, kernel, mcfg);
     vm::StepStatus st = machine.run();
     for (const os::OutputRecord &rec : kernel.outputs()) {
         std::cout << rec.channel << ": " << escapeBytes(rec.payload, 120)
@@ -803,12 +755,11 @@ cmdDual(const CliOptions &opt)
     std::unique_ptr<obs::TraceSink> sink = openTraceSink(opt, trace_file);
 
     obs::PhaseTimer front(sink.get());
-    CompiledProgram prog = compileProgram(opt, true, &front);
+    std::unique_ptr<ir::Module> module = compileProgram(opt, true, &front);
 
     obs::Registry registry;
     core::EngineConfig cfg;
     cfg.vmConfig.dispatch = opt.dispatch;
-    cfg.vmConfig.predecoded = prog.predecoded;
     cfg.sources = opt.sources;
     cfg.strategy = opt.strategy;
     cfg.sinks = opt.sinks;
@@ -819,7 +770,7 @@ cmdDual(const CliOptions &opt)
     cfg.recorderCapacity = opt.recorderCapacity;
     cfg.registry = &registry;
     cfg.traceSink = sink.get();
-    core::DualEngine engine(*prog.module, opt.world, cfg);
+    core::DualEngine engine(*module, opt.world, cfg);
     core::DualResult res = engine.run();
     if (sink)
         sink->flush();
@@ -867,7 +818,7 @@ cmdDual(const CliOptions &opt)
 int
 cmdTaint(const CliOptions &opt)
 {
-    CompiledProgram prog = compileProgram(opt, false);
+    std::unique_ptr<ir::Module> module = compileProgram(opt, false);
     taint::TaintRunOptions topt;
     if (opt.policy == "taintgrind")
         topt.policy = taint::TaintPolicy::taintgrind();
@@ -884,7 +835,7 @@ cmdTaint(const CliOptions &opt)
     };
     topt.retTokenSinks = opt.sinks.retTokens;
     topt.allocSizeSinks = opt.sinks.allocSizes;
-    auto res = taint::runTaintAnalysis(*prog.module, opt.world, topt);
+    auto res = taint::runTaintAnalysis(*module, opt.world, topt);
     std::cout << "sink events: " << res.totalSinks << ", tainted: "
               << res.taintedSinks.size() << "\n";
     for (const auto &evt : res.taintedSinks) {
@@ -900,30 +851,7 @@ cmdTaint(const CliOptions &opt)
 int
 cmdDump(const CliOptions &opt)
 {
-    CompiledProgram prog = compileProgram(opt, opt.instrument);
-    ir::printModule(std::cout, *prog.module);
-    return 0;
-}
-
-/**
- * Ahead-of-time front end: populate the image cache for a program so
- * later runs with the same --image-cache-dir start warm. Exit 0 on a
- * fresh store and on an already-valid cache entry alike.
- */
-int
-cmdCompile(const CliOptions &opt)
-{
-    if (opt.imageCacheDir.empty())
-        usage("ldx compile requires --image-cache-dir");
-    CompiledProgram prog = compileProgram(opt, opt.instrument);
-    std::uint64_t key = vm::imageKey(readHostFile(opt.program),
-                                     opt.instrument);
-    std::string path = vm::imageCachePath(opt.imageCacheDir, key);
-    if (!prog.fromImage && !vm::probeImageCache(opt.imageCacheDir, key)) {
-        std::cerr << "error: image not stored at " << path << "\n";
-        return 1;
-    }
-    std::cout << path << "\n";
+    ir::printModule(std::cout, *compileProgram(opt, opt.instrument));
     return 0;
 }
 
@@ -1019,7 +947,7 @@ cmdExplain(const CliOptions &opt)
     cfg.recorderCapacity = opt.recorderCapacity;
     cfg.registry = &registry;
 
-    CompiledProgram owned;
+    std::unique_ptr<ir::Module> owned;
     const ir::Module *module = nullptr;
     os::WorldSpec world;
     const workloads::Workload *w = workloads::findWorkload(opt.program);
@@ -1033,8 +961,7 @@ cmdExplain(const CliOptions &opt)
         cfg.sources = opt.sources;
         cfg.strategy = opt.strategy;
         owned = compileProgram(opt, true);
-        cfg.vmConfig.predecoded = owned.predecoded;
-        module = owned.module.get();
+        module = owned.get();
         world = opt.world;
     }
 
@@ -1119,7 +1046,7 @@ cmdProfile(const CliOptions &opt)
     cfg.recorderCapacity = opt.recorderCapacity;
     cfg.registry = &registry;
 
-    CompiledProgram owned;
+    std::unique_ptr<ir::Module> owned;
     const ir::Module *module = nullptr;
     os::WorldSpec world;
     std::string source;
@@ -1136,21 +1063,16 @@ cmdProfile(const CliOptions &opt)
         cfg.strategy = opt.strategy;
         source = readHostFile(opt.program);
         owned = compileProgram(opt, true);
-        cfg.vmConfig.predecoded = owned.predecoded;
-        module = owned.module.get();
+        module = owned.get();
         world = opt.world;
     }
 
     // One decoded module backs both VMs and the report metadata, so
     // the counters and the site names index the same decoded streams
     // by construction.
-    std::shared_ptr<vm::PredecodedModule> decoded =
-        cfg.vmConfig.predecoded;
-    if (!decoded) {
-        decoded = std::make_shared<vm::PredecodedModule>(*module);
-        decoded->decodeAll();
-        cfg.vmConfig.predecoded = decoded;
-    }
+    auto decoded = std::make_shared<vm::PredecodedModule>(*module);
+    decoded->decodeAll();
+    cfg.vmConfig.predecoded = decoded;
 
     obs::SiteCounters master, slave;
     cfg.masterSites = &master;
@@ -1188,7 +1110,7 @@ cmdCampaign(const CliOptions &opt)
     // The argument is a built-in workload (its sinks apply) or a .mc
     // source combined with --env/--file/... and --sinks.
     obs::PhaseTimer front(sink.get());
-    CompiledProgram owned;
+    std::unique_ptr<ir::Module> owned;
     const ir::Module *module = nullptr;
     os::WorldSpec world;
     query::CampaignConfig cfg;
@@ -1212,8 +1134,7 @@ cmdCampaign(const CliOptions &opt)
     } else {
         cfg.sinks = opt.sinks;
         owned = compileProgram(opt, true, &front);
-        cfg.vmConfig.predecoded = owned.predecoded;
-        module = owned.module.get();
+        module = owned.get();
         world = opt.world;
     }
 
@@ -1240,15 +1161,12 @@ cmdCampaign(const CliOptions &opt)
     // Site heat map: decode up front and share the streams so the
     // heat map's metadata indexes the same decoded sites the per-query
     // counters do (the campaign would otherwise predecode privately).
-    std::shared_ptr<vm::PredecodedModule> decoded =
-        cfg.vmConfig.predecoded;
+    std::shared_ptr<vm::PredecodedModule> decoded;
     if (!opt.siteProfileOut.empty()) {
         cfg.siteProfile = true;
-        if (!decoded) {
-            decoded = std::make_shared<vm::PredecodedModule>(*module);
-            decoded->decodeAll();
-            cfg.vmConfig.predecoded = decoded;
-        }
+        decoded = std::make_shared<vm::PredecodedModule>(*module);
+        decoded->decodeAll();
+        cfg.vmConfig.predecoded = decoded;
     }
 
     // Telemetry around the run: the exporter samples the campaign
@@ -1365,7 +1283,6 @@ fuzzOracleOptions(const CliOptions &opt)
     oopt.fullMatrix = opt.fuzzMatrix == "full";
     oopt.chaosSkipCntAddPeriod = opt.fuzzInjectSkipCnt;
     oopt.chaosDropSnapshotPage = opt.fuzzInjectDropSnapshotPage;
-    oopt.imageCacheDir = opt.imageCacheDir;
     return oopt;
 }
 
@@ -1605,8 +1522,6 @@ main(int argc, char **argv)
             return cmdTaint(opt);
         if (opt.command == "dump")
             return cmdDump(opt);
-        if (opt.command == "compile")
-            return cmdCompile(opt);
         if (opt.command == "corpus")
             return cmdCorpus();
         if (opt.command == "bench")
