@@ -96,7 +96,10 @@ struct OracleOptions
     /**
      * Fault-injection passthrough: drop the Nth dirty 4096-byte page
      * from every snapshot fork's slave-memory restore — the planted
-     * stale-snapshot bug (vm::Memory::restore).
+     * stale-snapshot bug (vm::Memory::restore). Dirty pages are
+     * counted over the image's backed extent (stack slots the guest
+     * never touched are not backed), so which seed first catches the
+     * bug depends on how much stack the prefix touched.
      * Used to prove the snapshot-equality oracle catches a fork that
      * resumes from incomplete state (see tests/snapshot_test.cc and
      * `ldx fuzz --inject-drop-snapshot-page`).

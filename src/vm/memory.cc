@@ -1,9 +1,30 @@
 #include "vm/memory.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <cstring>
 
 namespace ldx::vm {
+
+// The word path copies guest words as host words.
+static_assert(std::endian::native == std::endian::little,
+              "guest words are little-endian");
+
+namespace {
+
+/**
+ * True when [addr, addr + n) lies inside [base, base + size). Written
+ * as differences so no sum can overflow.
+ */
+bool
+within(std::uint64_t addr, std::uint64_t n, std::uint64_t base,
+       std::uint64_t size)
+{
+    return addr >= base && size >= n && addr - base <= size - n;
+}
+
+} // namespace
 
 const char *
 trapKindName(TrapKind kind)
@@ -23,22 +44,37 @@ trapKindName(TrapKind kind)
 Memory::Memory(std::uint64_t globals_size, std::uint64_t stack_size,
                int max_threads, std::uint64_t heap_jitter)
     : globalsSize_(globals_size), stackSize_(stack_size),
-      maxThreads_(max_threads), heapBase_(kHeapBase + heap_jitter),
+      heapBase_(kHeapBase + heap_jitter),
       heapBrk_(heapBase_),
-      globals_(globals_size, 0),
-      stacks_(stack_size * static_cast<std::uint64_t>(max_threads), 0)
+      stackSpan_(stack_size * static_cast<std::uint64_t>(max_threads)),
+      globals_(globals_size, 0)
 {}
+
+std::uint8_t *
+Memory::span(std::uint64_t addr, std::uint64_t n) const
+{
+    if (within(addr, n, kGlobalsBase, globalsSize_))
+        return &globals_[addr - kGlobalsBase];
+    if (within(addr, n, kStackBase, stackSpan_)) {
+        // Back the stack lazily: the first touch of a slot grows the
+        // segment, zero-filled, to the end of that slot.
+        std::uint64_t off = addr - kStackBase;
+        std::uint64_t end = off + n;
+        if (end > stacks_.size())
+            stacks_.resize((end + stackSize_ - 1) / stackSize_ * stackSize_,
+                           0);
+        return &stacks_[off];
+    }
+    if (within(addr, n, heapBase_, heap_.size()))
+        return &heap_[addr - heapBase_];
+    return nullptr;
+}
 
 std::uint8_t *
 Memory::resolve(std::uint64_t addr) const
 {
-    if (addr >= kGlobalsBase && addr < kGlobalsBase + globalsSize_)
-        return &globals_[addr - kGlobalsBase];
-    std::uint64_t stacks_size = stacks_.size();
-    if (addr >= kStackBase && addr < kStackBase + stacks_size)
-        return &stacks_[addr - kStackBase];
-    if (addr >= heapBase_ && addr < heapBrk_)
-        return &heap_[addr - heapBase_];
+    if (std::uint8_t *p = span(addr, 1))
+        return p;
     throw VmTrap(TrapKind::MemoryFault,
                  "bad address 0x" + [addr] {
                      char buf[32];
@@ -63,6 +99,13 @@ Memory::writeU8(std::uint64_t addr, std::uint8_t v)
 std::int64_t
 Memory::readI64(std::uint64_t addr) const
 {
+    if (const std::uint8_t *p = span(addr, 8)) {
+        std::int64_t word = 0;
+        std::memcpy(&word, p, 8);
+        return word;
+    }
+    // Not inside one segment: byte by byte, highest first, so a fault
+    // names the same byte as it always has.
     std::uint64_t v = 0;
     for (int i = 7; i >= 0; --i)
         v = (v << 8) | readU8(addr + static_cast<std::uint64_t>(i));
@@ -72,6 +115,12 @@ Memory::readI64(std::uint64_t addr) const
 void
 Memory::writeI64(std::uint64_t addr, std::int64_t value)
 {
+    if (std::uint8_t *p = span(addr, 8)) {
+        std::memcpy(p, &value, 8);
+        return;
+    }
+    // Not inside one segment: byte by byte, lowest first, so the
+    // bytes before a bad one are already written when it traps.
     std::uint64_t v = static_cast<std::uint64_t>(value);
     for (int i = 0; i < 8; ++i) {
         writeU8(addr + static_cast<std::uint64_t>(i),
@@ -125,14 +174,16 @@ void
 Memory::restore(const MemoryImage &image, std::uint64_t chaos_drop_page)
 {
     // Segment-by-segment copy over the concatenation
-    // globals | stacks | heap. The injector skips the Nth *dirty*
-    // page — one whose current bytes differ from the image — which
-    // models the stale-snapshot bug (a dirtied copy-on-write page
-    // whose capture was missed): the page silently keeps its
-    // pre-restore content. Pages already matching the image don't
-    // count, so the skip is observable whenever it happens at all;
-    // with fewer than N dirty pages the restore is complete and the
-    // injection is a no-op.
+    // globals | stacks | heap, each first resized to the image's
+    // extent, so stack slots backed since the snapshot are dropped
+    // and read zero again. The injector skips the Nth *dirty* page —
+    // one whose current bytes differ from the image — which models
+    // the stale-snapshot bug (a dirtied copy-on-write page whose
+    // capture was missed): the page silently keeps its pre-restore
+    // content. Pages already matching the image don't count, so the
+    // skip is observable whenever it happens at all; with fewer than
+    // N dirty pages the restore is complete and the injection is a
+    // no-op.
     std::vector<std::uint8_t> *segs[3] = {&globals_, &stacks_, &heap_};
     const std::vector<std::uint8_t> *srcs[3] = {&image.globals,
                                                 &image.stacks,

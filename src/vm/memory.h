@@ -3,6 +3,9 @@
  * Flat segmented guest memory. Three segments: globals, per-thread
  * stacks, and a bump-allocated heap whose base carries a per-execution
  * jitter (heap nondeterminism the paper discusses under Limitations).
+ * The stack segment is backed lazily: every stack address is valid
+ * and reads zero until written, but host memory is only allocated
+ * for the slots a guest touches, so most machines back one slot.
  *
  * The guest stack holds real return tokens written at call time, so
  * MiniC buffer overflows can clobber them exactly like native stack
@@ -50,12 +53,13 @@ class VmTrap : public std::runtime_error
 };
 
 /**
- * An arena checkpoint of every guest segment: the immutable image a
- * Memory::snapshot() produces and restore() consumes. One image is
- * shared (by shared_ptr) across every execution forked from the same
- * snapshot; execution itself keeps running on the flat segment
- * vectors, so the hot interpreter path pays nothing for the
- * versioning.
+ * An arena checkpoint of the backed extent of every guest segment:
+ * the immutable image a Memory::snapshot() produces and restore()
+ * consumes. Stacks hold only the slots touched so far, since bytes
+ * beyond them read zero. One image is shared (by shared_ptr) across
+ * every execution forked from the same snapshot; execution itself
+ * keeps running on the flat segment vectors, so the hot interpreter
+ * path pays nothing for the versioning.
  */
 struct MemoryImage
 {
@@ -102,25 +106,28 @@ class Memory : public os::MemAccess
     std::uint64_t heapAlloc(std::uint64_t n);
 
     /**
-     * Checkpoint every segment into an immutable arena image. The
-     * image is cheap to share: forks restored from the same snapshot
-     * all alias one copy.
+     * Checkpoint the backed extent of every segment into an immutable
+     * arena image. The image is cheap to share: forks restored from
+     * the same snapshot all alias one copy.
      */
     std::shared_ptr<const MemoryImage> snapshot() const;
 
     /**
-     * Overwrite every segment from @p image (the layout — sizes,
-     * heap base jitter — must match the construction parameters, as
-     * it does when the image came from a same-configured Machine).
-     * Bumps the memory version.
+     * Overwrite every segment from @p image and resize it to the
+     * image's backed extent, so stack slots touched since the
+     * snapshot read zero again (the layout — sizes, heap base jitter
+     * — must match the construction parameters, as it does when the
+     * image came from a same-configured Machine). Bumps the memory
+     * version.
      *
      * @p chaos_drop_page is the stale-snapshot fault injector: when
      * non-zero, restore skips copying the Nth *dirty*
      * kSnapshotPageSize page (one whose current bytes differ from the
-     * image, counted 1-based across globals+stacks+heap), leaving
-     * whatever bytes the segment already held — exactly the "fork
-     * that misses one dirtied COW page" bug the fuzz harness must
-     * catch. With fewer than N dirty pages the injection is a no-op.
+     * image, counted 1-based across the image's globals+stacks+heap
+     * extent), leaving whatever bytes the segment already held —
+     * exactly the "fork that misses one dirtied COW page" bug the
+     * fuzz harness must catch. With fewer than N dirty pages the
+     * injection is a no-op.
      */
     void restore(const MemoryImage &image,
                  std::uint64_t chaos_drop_page = 0);
@@ -138,17 +145,25 @@ class Memory : public os::MemAccess
     std::uint64_t heapBase() const { return heapBase_; }
 
   private:
+    /**
+     * Map [@p addr, @p addr + @p n) to backing bytes when it lies in
+     * one segment, backing untouched stack slots on the way; nullptr
+     * otherwise.
+     */
+    std::uint8_t *span(std::uint64_t addr, std::uint64_t n) const;
+
     /** Map @p addr to backing byte; throws VmTrap on bad addresses. */
     std::uint8_t *resolve(std::uint64_t addr) const;
 
     std::uint64_t globalsSize_;
     std::uint64_t stackSize_;
-    int maxThreads_;
     std::uint64_t heapBase_;
     std::uint64_t heapBrk_;
+    std::uint64_t stackSpan_; ///< stack_size * max_threads
     std::uint64_t version_ = 0;
 
     mutable std::vector<std::uint8_t> globals_;
+    /** The backed prefix of the stack span; span() extends it. */
     mutable std::vector<std::uint8_t> stacks_;
     mutable std::vector<std::uint8_t> heap_;
 };

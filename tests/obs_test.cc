@@ -507,16 +507,17 @@ expectJsonKey(const std::string &json, const std::string &key,
     ASSERT_NE(pos, std::string::npos) << key << " missing\n" << json;
     char c = json[pos + key.size() + 3];
     std::string t = type;
-    if (t == "bool")
+    if (t == "bool") {
         EXPECT_TRUE(c == 't' || c == 'f') << key;
-    else if (t == "number")
+    } else if (t == "number") {
         EXPECT_TRUE((c >= '0' && c <= '9') || c == '-') << key;
-    else if (t == "string")
+    } else if (t == "string") {
         EXPECT_EQ(c, '"') << key;
-    else if (t == "array")
+    } else if (t == "array") {
         EXPECT_EQ(c, '[') << key;
-    else if (t == "object")
+    } else if (t == "object") {
         EXPECT_EQ(c, '{') << key;
+    }
 }
 
 TEST(ResultJsonTest, StableTopLevelSchema)

@@ -184,9 +184,10 @@ TEST_P(SnapshotWall, ForksMatchFullRuns)
             } else {
                 EXPECT_EQ(group.runs[i].verdict, oracle[i].verdict);
             }
-            if (!threaded && !threaded_guest)
+            if (!threaded && !threaded_guest) {
                 EXPECT_EQ(group.runs[i].recorder, oracle[i].recorder)
                     << "recorder event order diverged";
+            }
         }
         if (group.stats.engaged) {
             EXPECT_EQ(group.stats.prefixRuns, 1u);

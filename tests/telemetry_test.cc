@@ -217,9 +217,11 @@ TEST_P(TelemetryJobs, CompletedQueriesSpanAndFold)
     EXPECT_GT(aligned, 0u);
 
     // Exec latency histogram saw every executed query.
-    for (const obs::HistogramSnapshot &h : snap.histograms)
-        if (h.name == "campaign.query_seconds")
+    for (const obs::HistogramSnapshot &h : snap.histograms) {
+        if (h.name == "campaign.query_seconds") {
             EXPECT_EQ(h.count, 6u);
+        }
+    }
 }
 
 TEST_P(TelemetryJobs, CachedQueriesSpanAndFold)

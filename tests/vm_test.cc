@@ -70,6 +70,95 @@ TEST(MemoryTest, CStringBounded)
     EXPECT_EQ(mem.readCString(vm::Memory::kGlobalsBase, 2), "he");
 }
 
+/** The message of the trap @p fn throws ("" when it does not trap). */
+template <typename Fn>
+std::string
+trapMessage(Fn fn)
+{
+    try {
+        fn();
+    } catch (const vm::VmTrap &trap) {
+        EXPECT_EQ(trap.kind(), vm::TrapKind::MemoryFault);
+        return trap.what();
+    }
+    return "";
+}
+
+TEST(MemoryTest, WordAtTheLastEightBytesOfEverySegment)
+{
+    vm::Memory mem(64, 1 << 12, 2, 0);
+    std::uint64_t heap = mem.heapAlloc(32);
+    const std::uint64_t ends[] = {vm::Memory::kGlobalsBase + 64 - 8,
+                                  mem.stackTop(0) - 8, mem.stackTop(1) - 8,
+                                  heap + 32 - 8};
+    std::int64_t v = 0x0102030405060708LL;
+    for (std::uint64_t addr : ends) {
+        mem.writeI64(addr, v);
+        EXPECT_EQ(mem.readI64(addr), v);
+        EXPECT_EQ(mem.readU8(addr), v & 0xff); // low byte first
+        EXPECT_EQ(mem.readU8(addr + 7), 0x01);
+        v += 0x10;
+    }
+}
+
+TEST(MemoryTest, StraddlingWordWriteTrapsAfterItsLowBytes)
+{
+    vm::Memory mem(16, 1 << 12, 1, 0);
+    std::uint64_t addr = vm::Memory::kGlobalsBase + 12;
+    EXPECT_EQ(
+        trapMessage([&] { mem.writeI64(addr, 0x1122334455667788LL); }),
+        "bad address 0x10010");
+    // The four bytes inside globals were written before the fault.
+    EXPECT_EQ(mem.readBytes(addr, 4), "\x88\x77\x66\x55");
+}
+
+TEST(MemoryTest, StraddlingWordReadTrapNamesTheHighestBadByte)
+{
+    vm::Memory mem(16, 1 << 12, 1, 0);
+    // Past the end of globals: bytes are read highest first.
+    EXPECT_EQ(trapMessage(
+                  [&] { mem.readI64(vm::Memory::kGlobalsBase + 12); }),
+              "bad address 0x10013");
+    // Below the start of the heap.
+    std::uint64_t heap = mem.heapAlloc(16);
+    EXPECT_EQ(trapMessage([&] { mem.readI64(heap - 4); }),
+              "bad address 0x3fffffff");
+    // Past the end of the last stack slot.
+    EXPECT_EQ(trapMessage([&] { mem.readI64(mem.stackTop(0) - 2); }),
+              "bad address 0x1001005");
+}
+
+TEST(MemoryTest, UntouchedStackSlotsReadZero)
+{
+    vm::Memory mem(16, 1 << 16, 16, 0);
+    EXPECT_EQ(mem.readI64(mem.stackTop(15) - 8), 0);
+    EXPECT_EQ(mem.readU8(mem.stackFloor(7)), 0);
+    EXPECT_THROW(mem.readU8(mem.stackTop(15)), vm::VmTrap);
+}
+
+TEST(MemoryTest, RestoreDropsStackSlotsBackedAfterTheSnapshot)
+{
+    vm::Memory mem(16, 1 << 12, 4, 0);
+    mem.writeI64(mem.stackTop(0) - 8, 7);
+    auto image = mem.snapshot();
+    EXPECT_EQ(image->stacks.size(), mem.stackSize()); // one slot backed
+
+    mem.writeI64(mem.stackTop(3) - 8, 9);
+    mem.writeI64(mem.stackTop(0) - 8, 8);
+    mem.restore(*image);
+    EXPECT_EQ(mem.readI64(mem.stackTop(3) - 8), 0);
+    EXPECT_EQ(mem.readI64(mem.stackTop(0) - 8), 7);
+}
+
+TEST(MemoryTest, WordSpanningTwoStackSlots)
+{
+    vm::Memory mem(16, 1 << 12, 2, 0);
+    std::uint64_t addr = mem.stackTop(0) - 4;
+    mem.writeI64(addr, 0x1122334455667788LL);
+    EXPECT_EQ(mem.readI64(addr), 0x1122334455667788LL);
+    EXPECT_EQ(mem.readU8(mem.stackFloor(1)), 0x44);
+}
+
 // ----------------------------------------------------------- machine
 
 TEST(MachineTest, StackOverflowTraps)
